@@ -23,7 +23,7 @@ from .evaluate import (
     planted_partition,
     train_test_split,
 )
-from .graph import Graph, is_connected, laplacian, load_edge_list, write_id_map
+from .graph import Graph, is_connected, laplacian, load_edge_list
 from .modularity import (
     ModularityMatrix,
     Partition,
@@ -32,7 +32,6 @@ from .modularity import (
     normalized_modularity,
     partition_modularity,
     set_covariance,
-    write_matrix_tsv,
 )
 from .sampling import (
     SampledGraph,
@@ -126,7 +125,5 @@ __all__ = [
     "train_test_split",
     "update_node",
     "weighted_distance_objective",
-    "write_id_map",
-    "write_matrix_tsv",
     "zero_diagonal",
 ]

@@ -5,7 +5,8 @@ the spectral side, ``cluster`` and ``classify`` the softmax side,
 ``eigenmap`` and ``pca`` the Laplacian and Euclidean bridges, and
 ``eval`` scores label files against each other. All randomness flows
 from the single ``--seed`` flag; per-stage generators are derived from
-it with fixed tags, so any command run twice writes identical bytes.
+it with fixed tags, so any command run twice under the same BLAS
+thread setting writes identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
 3 numerical failure.
@@ -20,26 +21,19 @@ import zlib
 import numpy as np
 
 from .errors import FormatError, NumericalError
-from .evaluate import load_labels, micro_macro_f1, train_test_split, write_report_tsv
-from .graph import Graph, load_edge_list, write_id_map
+from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
+from .graph import Graph, load_edge_list
 from .modularity import ModularityMatrix, modularity_matrix
 from .sampling import (
     MAX_WALK_LENGTH,
-    SampledGraph,
     edge_sampling,
     exp_distance_sampling,
     random_walk_sampling,
 )
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
-from .softmax import (
-    hard_assign,
-    softmax_classify,
-    softmax_cluster,
-    write_history_tsv,
-    zero_diagonal,
-)
-from .spectral import Embedding, reconstruct, select_dimension, top_k_eigen
+from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
+from .spectral import EigenPairs, Embedding, reconstruct, select_dimension, top_k_eigen
 
 
 class _UsageError(Exception):
@@ -56,6 +50,42 @@ class _Parser(argparse.ArgumentParser):
 # ===================================================================
 
 
+def _dimension(text: str) -> int | None:
+    """``--dim`` value: None for 'auto', otherwise a positive integer."""
+    if text == "auto":
+        return None
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'auto' or a positive integer, got {text!r}"
+        ) from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {k}")
+    return k
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
+def _sweeps(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sampler",
@@ -64,7 +94,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--theta",
-        type=float,
+        type=_finite,
         default=None,
         help="decay rate for the expdist sampler (default: -1e-3 / max distance)",
     )
@@ -78,18 +108,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-
-
-def _parse_dim(text: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        k = int(text)
-    except ValueError:
-        raise _UsageError(f"--dim must be 'auto' or a positive integer, got {text!r}") from None
-    if k < 1:
-        raise _UsageError(f"--dim must be positive, got {k}")
-    return k
 
 
 def _parse_sampler(spec: str) -> tuple[str, int]:
@@ -108,80 +126,85 @@ def _parse_sampler(spec: str) -> tuple[str, int]:
     raise _UsageError(f"unknown sampler {spec!r} (expected edge, walk:L, or expdist)")
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return load_edge_list(fh)
-
-
-def _sample(args: argparse.Namespace, g: Graph) -> SampledGraph:
-    kind, length = _parse_sampler(args.sampler)
-    if kind == "edge":
-        return edge_sampling(g)
-    if kind == "walk":
-        return random_walk_sampling(g, length, exact_length=args.exact_length)
-    return exp_distance_sampling(resistance_distance(g), theta=args.theta)
-
-
 def _stage_seed(seed: int, tag: str) -> int:
     ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(tag.encode())])
     return int(ss.generate_state(1)[0])
 
 
-def _embed_with_spectrum(
-    q: ModularityMatrix, dim: int | None, tol: float
-) -> tuple[Embedding, np.ndarray, int]:
-    """Top eigenvectors plus the spectrum that picked their number."""
-    pairs = top_k_eigen(q.q, q.n, tol=tol)
-    if dim is None:
-        k = select_dimension(pairs.values, q.n) if q.n >= 2 else 1
+# ===================================================================
+# Pipeline: graph -> sampled pairs -> Q -> eigenpairs
+# ===================================================================
+
+
+def _load_graph(path: str) -> Graph:
+    with open(path) as fh:
+        return load_edge_list(fh)
+
+
+def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix:
+    """Q of the pair distribution the ``--sampler`` flags draw from g."""
+    kind, length = _parse_sampler(args.sampler)
+    if kind == "edge":
+        sampled = edge_sampling(g)
+    elif kind == "walk":
+        sampled = random_walk_sampling(g, length, exact_length=args.exact_length)
     else:
-        if dim > q.n:
-            raise _UsageError(f"--dim {dim} exceeds the node count {q.n}")
-        k = dim
-    h = pairs.vectors[:, :k]
-    return Embedding(h=h, mode="spectral"), pairs.values, k
+        sampled = exp_distance_sampling(resistance_distance(g), theta=args.theta)
+    return modularity_matrix(sampled)
 
 
-def _open_out(path: str):
+def _eigen(
+    args: argparse.Namespace, q: ModularityMatrix, vectors: bool = True
+) -> tuple[EigenPairs | None, int]:
+    """Leading eigenpairs of Q and the dimension k the command uses.
+
+    The whole spectrum is computed only when ``--dim auto`` or an
+    ``--emit-spectrum`` sidecar needs it. A fixed ``--dim k`` asks for
+    k pairs, or for none when the caller needs no vectors. The dense
+    solver decomposes all of Q either way, so the first k pairs are the
+    same bytes on both routes.
+    """
+    k = args.dim
+    if k is not None and k > q.n:
+        raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
+    if k is None or args.emit_spectrum:
+        pairs = top_k_eigen(q.q, q.n, tol=args.tol)
+        return pairs, k or select_dimension(pairs.values, q.n)
+    return (top_k_eigen(q.q, k, tol=args.tol) if vectors else None), k
+
+
+# ===================================================================
+# Output
+# ===================================================================
+
+
+def _write_tsv(path: str, rows: list[tuple]) -> None:
+    """Write rows as tab-separated lines to ``path``, or stdout for '-'.
+
+    Floats are printed with %.17g, so values round-trip exactly.
+    """
+    text = "".join(
+        "\t".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        sys.stdout.write(text)
+        return
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    fh, owned = _open_out(path)
-    try:
-        fh.write("\n".join(lines) + "\n")
-    finally:
-        if owned:
-            fh.close()
+def _embedding_rows(ids, h: np.ndarray) -> list[tuple]:
+    head = ("node", *(f"dim_{j + 1}" for j in range(h.shape[1])))
+    return [head, *((name, *row) for name, row in zip(ids, h))]
 
 
-def _embedding_lines(ids, h: np.ndarray, scales: np.ndarray | None = None) -> list[str]:
-    k = h.shape[1]
-    lines = ["node\t" + "\t".join(f"dim_{j + 1}" for j in range(k))]
-    coords = h if scales is None else h * scales
-    for u in range(h.shape[0]):
-        lines.append(str(ids[u]) + "\t" + "\t".join(f"{v:.17g}" for v in coords[u]))
-    return lines
+def _spectrum_rows(values: np.ndarray, selected: int) -> list[tuple]:
+    return [("k", "lambda"), *enumerate(values, start=1), ("# selected_k", selected)]
 
 
-def _spectrum_lines(values: np.ndarray, selected: int) -> list[str]:
-    lines = ["k\tlambda"]
-    for i, v in enumerate(values, start=1):
-        lines.append(f"{i}\t{v:.17g}")
-    lines.append(f"# selected_k\t{selected}")
-    return lines
-
-
-def _write_report(rows: list[tuple[str, object]], path: str) -> None:
-    if path == "-":
-        sys.stdout.write("metric\tvalue\n")
-        for key, value in rows:
-            text = f"{value:.17g}" if isinstance(value, float) else str(value)
-            sys.stdout.write(f"{key}\t{text}\n")
-    else:
-        write_report_tsv(rows, path)
+def _id_rows(g: Graph) -> list[tuple]:
+    return [(name, i) for i, name in enumerate(g.ids)]
 
 
 # ===================================================================
@@ -190,36 +213,30 @@ def _write_report(rows: list[tuple[str, object]], path: str) -> None:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    q = modularity_matrix(_sample(args, g))
-    pairs = top_k_eigen(q.q, q.n, tol=args.tol)
-    selected = select_dimension(pairs.values, q.n) if q.n >= 2 else 1
-    _write_lines(args.output, _spectrum_lines(pairs.values, selected))
+    pairs, k = _eigen(args, _covariance(args, _load_graph(args.graph)))
+    _write_tsv(args.output, _spectrum_rows(pairs.values, k))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    q = modularity_matrix(_sample(args, g))
-    dim = _parse_dim(args.dim)
-    emb, values, k = _embed_with_spectrum(q, dim, args.tol)
-    _write_lines(args.output, _embedding_lines(g.ids, emb.h))
+    pairs, k = _eigen(args, _covariance(args, g))
+    _write_tsv(args.output, _embedding_rows(g.ids, pairs.vectors[:, :k]))
     if args.emit_spectrum:
-        _write_lines(args.emit_spectrum, _spectrum_lines(values, k))
+        _write_tsv(args.emit_spectrum, _spectrum_rows(pairs.values, k))
     if args.id_map:
-        write_id_map(g, args.id_map)
+        _write_tsv(args.id_map, _id_rows(g))
     return 0
 
 
 def _cmd_eigenmap(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    dim = _parse_dim(args.dim)
-    if dim is None:
+    if args.dim is None:
         raise _UsageError("eigenmap needs a fixed --dim")
-    emb = _eigenmap(g, dim)
-    _write_lines(args.output, _embedding_lines(g.ids, emb.h))
+    emb = _eigenmap(g, args.dim)
+    _write_tsv(args.output, _embedding_rows(g.ids, emb.h))
     if args.id_map:
-        write_id_map(g, args.id_map)
+        _write_tsv(args.id_map, _id_rows(g))
     return 0
 
 
@@ -227,55 +244,41 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     data, names = load_points(args.data, id_column=args.id_column)
     n = data.x.shape[0]
     emb, scales = pca_embedding(data, n)
-    dim = _parse_dim(args.dim)
-    if dim is None:
-        values = scales**2
-        k = select_dimension(values, n) if n >= 2 else 1
+    if args.dim is None:
+        k = select_dimension(scales**2, n) if n >= 2 else 1
+    elif args.dim > n:
+        raise _UsageError(f"--dim {args.dim} exceeds the point count {n}")
     else:
-        if dim > n:
-            raise _UsageError(f"--dim {dim} exceeds the point count {n}")
-        k = dim
+        k = args.dim
     h = emb.h[:, :k]
-    _write_lines(
-        args.output,
-        _embedding_lines(names, h, scales[:k] if args.scaled else None),
-    )
+    _write_tsv(args.output, _embedding_rows(names, h * scales[:k] if args.scaled else h))
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    q = modularity_matrix(_sample(args, g))
-    dim = _parse_dim(args.dim)
-    if dim is None:
-        pairs = top_k_eigen(q.q, q.n, tol=args.tol)
-        k = max(2, select_dimension(pairs.values, q.n))
-    else:
-        k = dim
+    q = _covariance(args, g)
+    _, k = _eigen(args, q, vectors=False)
     result = softmax_cluster(
         q.q,
-        k,
+        max(2, k) if args.dim is None else k,
         seed=_stage_seed(args.seed, "softmax"),
         max_sweeps=args.max_sweeps,
         tol=args.tol,
         normalize=args.normalize,
     )
     assignment = hard_assign(result).assignment
-    lines = ["node\tcluster"]
-    lines += [f"{g.ids[u]}\t{assignment[u]}" for u in range(g.n)]
-    _write_lines(args.output, lines)
+    _write_tsv(args.output, [("node", "cluster"), *zip(g.ids, assignment)])
     if args.emit_history:
-        write_history_tsv(result, args.emit_history)
+        _write_tsv(args.emit_history, [("sweep", "objective"), *enumerate(result.history)])
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dataset, _ = load_labels(args.labels, g)
-    q = modularity_matrix(_sample(args, g))
-    dim = _parse_dim(args.dim)
-    emb, values, k = _embed_with_spectrum(q, dim, args.tol)
-    recomposed = zero_diagonal(reconstruct(emb))
+    pairs, k = _eigen(args, _covariance(args, g))
+    recomposed = zero_diagonal(reconstruct(Embedding(h=pairs.vectors[:, :k])))
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,
@@ -294,6 +297,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     predicted = hard_assign(result).assignment
     report = micro_macro_f1(dataset.labels, predicted, holdout, dataset.n_classes)
     rows = [
+        ("metric", "value"),
         ("micro_f1", report.micro_f1),
         ("macro_f1", report.macro_f1),
         ("selected_k", k),
@@ -302,33 +306,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         ("sweeps", result.sweeps),
         ("converged", str(result.converged).lower()),
     ]
-    _write_report(rows, args.output)
+    _write_tsv(args.output, rows)
     if args.emit_spectrum:
-        _write_lines(args.emit_spectrum, _spectrum_lines(values, k))
+        _write_tsv(args.emit_spectrum, _spectrum_rows(pairs.values, k))
     return 0
 
 
-def _read_label_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            fields = text.split()
-            if len(fields) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected '<node_id> <label>'")
-            if fields[0] in out:
-                raise FormatError(f"{path}: line {lineno}: node {fields[0]!r} repeated")
-            out[fields[0]] = fields[1]
-    if not out:
-        raise FormatError(f"{path}: no labels found")
-    return out
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    truth = _read_label_file(args.truth)
-    predicted = _read_label_file(args.pred)
+    truth = read_label_map(args.truth)
+    predicted = read_label_map(args.pred)
     missing = [node for node in predicted if node not in truth]
     if missing:
         raise FormatError(f"predicted node {missing[0]!r} has no ground truth")
@@ -339,11 +325,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     p = np.array([index[predicted[v]] for v in nodes])
     report = micro_macro_f1(t, p, None, len(names))
     rows = [
+        ("metric", "value"),
         ("micro_f1", report.micro_f1),
         ("macro_f1", report.macro_f1),
         ("n_evaluated", report.evaluated),
     ]
-    _write_report(rows, args.output)
+    _write_tsv(args.output, rows)
     return 0
 
 
@@ -354,15 +341,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modembed", description=__doc__)
+    # What _eigen reads on commands without these flags: spectrum always
+    # picks its k, and cluster writes no spectrum sidecar.
+    parser.set_defaults(dim=None, emit_spectrum=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sampler=True, dim=True):
         _add_common_flags(p)
-        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-10, help="numerical tolerance")
         if sampler:
             _add_sampler_flags(p)
         if dim:
-            p.add_argument("--dim", default="auto", help="embedding dimension: auto or K")
+            p.add_argument(
+                "--dim", type=_dimension, default=None, help="embedding dimension: auto or K"
+            )
 
     p = sub.add_parser("spectrum", help="eigenvalues of the modularity matrix")
     p.add_argument("graph", help="edge-list file")
@@ -392,7 +384,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="softmax clustering of a graph")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--max-sweeps", type=int, default=1000)
+    p.add_argument("--max-sweeps", type=_sweeps, default=1000)
     p.add_argument("--normalize", action="store_true", help="pre-scale q by 1/max|q|")
     p.add_argument("--emit-history", default=None, help="write the objective trace here")
     p.set_defaults(func=_cmd_cluster)
@@ -403,7 +395,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--train-fraction", type=float, default=0.1)
     p.add_argument("--unstratified", action="store_true", help="split without class stratification")
-    p.add_argument("--max-sweeps", type=int, default=1000)
+    p.add_argument("--max-sweeps", type=_sweeps, default=1000)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--emit-spectrum", default=None)
     p.set_defaults(func=_cmd_classify)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -253,14 +252,14 @@ def _components(edges: list[tuple[int, int, float]], n: int) -> list[np.ndarray]
     return [np.array(members) for members in roots.values()]
 
 
-def load_labels(path: str | Path, g: Graph) -> tuple[LabeledDataset, list[str]]:
-    """Read a label file of ``<node_id> <label>`` lines for a graph.
+def read_label_map(path: str | Path) -> dict[str, str]:
+    """Read ``<node_id> <label>`` lines into a node-to-label-name map.
 
-    Every graph node must be labeled exactly once. Label names are
-    mapped to class indices in sorted order; the sorted names are
-    returned so reports can use the original spelling.
+    ``#`` starts a comment that runs to the end of the line. A line
+    without exactly two fields, a node labeled twice, or a file with no
+    labels at all is rejected.
     """
-    raw: dict[int, str] = {}
+    raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -268,29 +267,32 @@ def load_labels(path: str | Path, g: Graph) -> tuple[LabeledDataset, list[str]]:
                 continue
             fields = text.split()
             if len(fields) != 2:
-                raise FormatError(f"line {lineno}: expected '<node_id> <label>'")
+                raise FormatError(f"{path}: line {lineno}: expected '<node_id> <label>'")
             node, name = fields
-            try:
-                idx = g.index_of(node)
-            except KeyError:
-                raise FormatError(f"line {lineno}: unknown node id {node!r}") from None
-            if idx in raw:
-                raise FormatError(f"line {lineno}: node {node!r} labeled twice")
-            raw[idx] = name
-    if len(raw) != g.n:
-        raise FormatError(f"label file covers {len(raw)} of {g.n} nodes")
-    names = sorted(set(raw.values()))
+            if node in raw:
+                raise FormatError(f"{path}: line {lineno}: node {node!r} labeled twice")
+            raw[node] = name
+    if not raw:
+        raise FormatError(f"{path}: no labels found")
+    return raw
+
+
+def load_labels(path: str | Path, g: Graph) -> tuple[LabeledDataset, list[str]]:
+    """Read a label file of ``<node_id> <label>`` lines for a graph.
+
+    Every graph node must be labeled exactly once. Label names are
+    mapped to class indices in sorted order; the sorted names are
+    returned so reports can use the original spelling.
+    """
+    by_index: dict[int, str] = {}
+    for node, name in read_label_map(path).items():
+        try:
+            by_index[g.index_of(node)] = name
+        except KeyError:
+            raise FormatError(f"{path}: unknown node id {node!r}") from None
+    if len(by_index) != g.n:
+        raise FormatError(f"label file covers {len(by_index)} of {g.n} nodes")
+    names = sorted(set(by_index.values()))
     index = {name: i for i, name in enumerate(names)}
-    labels = np.array([index[raw[i]] for i in range(g.n)])
+    labels = np.array([index[by_index[i]] for i in range(g.n)])
     return LabeledDataset(labels=labels, n_classes=len(names)), names
-
-
-def write_report_tsv(rows: Sequence[tuple[str, object]], path: str | Path) -> None:
-    """Write metric/value pairs as TSV, floats at 17 significant digits."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("metric\tvalue\n")
-        for key, value in rows:
-            if isinstance(value, float):
-                fh.write(f"{key}\t{value:.17g}\n")
-            else:
-                fh.write(f"{key}\t{value}\n")

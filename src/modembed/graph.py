@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -213,9 +212,3 @@ def is_connected(g: Graph) -> bool:
                 stack.append(w)
     return count == g.n
 
-
-def write_id_map(g: Graph, path: str | Path) -> None:
-    """Write the external-id to index mapping as TSV lines."""
-    with open(path, "w", newline="\n") as fh:
-        for i, name in enumerate(g.ids):
-            fh.write(f"{name}\t{i}\n")

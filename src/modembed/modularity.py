@@ -1,6 +1,6 @@
 """Generalized modularity matrices and partition scores.
 
-The covariance q(u, w) = p(u, w) - p_u(u) p_w(w) of a sampled graph
+The covariance q(u, w) = p(u, w) - p_u(u) p_u(w) of a sampled graph
 measures how much more often a pair co-occurs than independent draws
 from the marginals would suggest. Summed over blocks of a partition it
 generalizes Newman's modularity, which is the special case of edge
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +76,7 @@ class Partition:
 
 def modularity_matrix(s: SampledGraph) -> ModularityMatrix:
     """Covariance of the sampled pair distribution against its marginals."""
-    return ModularityMatrix(s.p - np.outer(s.p_u, s.p_w))
+    return ModularityMatrix(s.p - np.outer(s.p_u, s.p_u))
 
 
 def set_covariance(
@@ -115,14 +114,6 @@ def normalized_modularity(q: ModularityMatrix, partition: Partition) -> float:
             raise ValueError(f"cluster {c} is empty")
         total += q.q[np.ix_(m, m)].sum() / m.size
     return float(total)
-
-
-def write_matrix_tsv(m: np.ndarray, path: str | Path) -> None:
-    """Dump a matrix as TSV with 17-significant-digit entries."""
-    m = np.asarray(m, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        for row in m:
-            fh.write("\t".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def _check_indices(n: int, s: Sequence[int] | np.ndarray) -> np.ndarray:

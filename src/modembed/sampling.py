@@ -26,15 +26,13 @@ MAX_WALK_LENGTH = 16
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """Joint distribution over ordered node pairs with its marginals.
+    """Joint distribution over ordered node pairs with its marginal.
 
-    ``p_u`` holds row sums and ``p_w`` column sums; the samplers here
-    always produce symmetric ``p``, so the two marginals coincide.
+    ``p`` is symmetric, so its row sums ``p_u`` are its column sums too.
     """
 
     p: np.ndarray
     p_u: np.ndarray
-    p_w: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
@@ -50,15 +48,13 @@ class SampledGraph:
             raise ValueError("p must be symmetric")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", np.asarray(self.p_u, dtype=float))
-        object.__setattr__(self, "p_w", np.asarray(self.p_w, dtype=float))
 
     @classmethod
     def from_matrix(cls, p: np.ndarray) -> "SampledGraph":
-        """Symmetrize defensively and attach marginals."""
+        """Symmetrize defensively and attach the marginal."""
         p = np.asarray(p, dtype=float)
         p = 0.5 * (p + p.T)
-        p_u = p.sum(axis=1)
-        return cls(p=p, p_u=p_u, p_w=p_u.copy())
+        return cls(p=p, p_u=p.sum(axis=1))
 
     @property
     def n(self) -> int:

@@ -179,7 +179,7 @@ def eigenmap_embedding(g: Graph, k: int) -> Embedding:
         raise ValueError(f"k must be between 1 and {g.n - 1}, got {k}")
     values, vectors = np.linalg.eigh(laplacian(g))
     h = _fix_signs(vectors[:, 1 : k + 1])
-    return Embedding(h=h, mode="spectral")
+    return Embedding(h=h)
 
 
 # ===================================================================
@@ -218,12 +218,13 @@ def pca_embedding(
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     values, vectors = np.linalg.eigh(gram)
-    if values[0] < -1e-10:
+    # Roundoff in the eigenvalues grows with the scale of the Gram matrix.
+    if values[0] < -1e-10 * abs(values[-1]):
         raise ValueError("centered Gram matrix is not positive semi-definite")
     order = np.arange(n - 1, n - 1 - k, -1)
     top = _fix_signs(vectors[:, order])
     scales = np.sqrt(np.maximum(values[order], 0.0))
-    return Embedding(h=top, mode="spectral"), scales
+    return Embedding(h=top), scales
 
 
 def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, list[str]]:

@@ -11,7 +11,6 @@ one-hot labels turns the same loop into a semi-supervised classifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -125,7 +124,7 @@ def _run_sweeps(
     theta: float,
     max_sweeps: int,
     tol: float,
-    clamped: np.ndarray | None,
+    clamped: np.ndarray,
 ) -> StochasticEmbedding:
     history = [softmax_objective(q, h)]
     converged = False
@@ -161,39 +160,19 @@ def softmax_cluster(
     tol: float = 1e-12,
     normalize: bool = False,
 ) -> StochasticEmbedding:
-    """Softly cluster nodes into k groups by iterated softmax updates.
+    """Softly cluster nodes into 2 <= k <= n groups.
 
-    Parameters
-    ----------
-    q : (n, n) array
-        Symmetric similarity matrix; its diagonal is ignored.
-    k : int
-        Number of clusters, k >= 2.
-    theta : float, optional
-        Inverse temperature; defaults to n**2, matching the natural
-        1/n**2 scale of modularity entries.
-    seed : int
-        Seed for the perturbed-uniform initialization.
-    max_sweeps, tol : int, float
-        Stop after a sweep whose objective gain falls below
-        tol * max(1, |objective|), or after max_sweeps sweeps.
-    normalize : bool
-        Pre-scale q by 1 / max |q| before clustering.
+    This is :func:`softmax_classify` with no labeled nodes; the other
+    parameters mean the same there.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
+    n = np.shape(q)[0]
     if k < 2:
         raise ValueError("clustering needs at least two clusters")
     if k > n:
         raise ValueError(f"cannot split {n} nodes into {k} clusters")
-    q0 = _prepare(q, normalize)
-    if theta is None:
-        theta = float(n * n)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    rng = np.random.default_rng(seed)
-    h = _perturbed_uniform(n, k, rng)
-    return _run_sweeps(q0, h, theta, max_sweeps, tol, None)
+    return softmax_classify(
+        q, {}, k, theta=theta, seed=seed, max_sweeps=max_sweeps, tol=tol, normalize=normalize
+    )
 
 
 def softmax_classify(
@@ -206,11 +185,26 @@ def softmax_classify(
     tol: float = 1e-12,
     normalize: bool = False,
 ) -> StochasticEmbedding:
-    """Label-clamped variant: labeled rows stay one-hot, the rest move.
+    """Label-clamped softmax ascent: labeled rows stay one-hot, the rest move.
 
-    ``labels`` partially maps node index to class index below k. With an
-    empty map this degenerates to :func:`softmax_cluster` under the
-    same seed.
+    Parameters
+    ----------
+    q : (n, n) array
+        Symmetric similarity matrix; its diagonal is ignored.
+    labels : mapping
+        Partial map from node index to class index below k; may be empty.
+    k : int
+        Number of classes, k >= 2.
+    theta : float, optional
+        Inverse temperature; defaults to n**2, matching the natural
+        1/n**2 scale of modularity entries.
+    seed : int
+        Seed for the perturbed-uniform initialization.
+    max_sweeps, tol : int, float
+        Stop after a sweep whose objective gain falls below
+        tol * max(1, |objective|), or after max_sweeps sweeps.
+    normalize : bool
+        Pre-scale q by 1 / max |q| first.
     """
     q = np.asarray(q, dtype=float)
     n = q.shape[0]
@@ -247,10 +241,3 @@ def hard_assign(embedding: StochasticEmbedding | Embedding | np.ndarray) -> Part
         h = np.asarray(embedding, dtype=float)
     return Partition(assignment=np.argmax(h, axis=1), k=h.shape[1])
 
-
-def write_history_tsv(embedding: StochasticEmbedding, path: str | Path) -> None:
-    """Dump the objective trace as TSV rows of sweep and objective."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("sweep\tobjective\n")
-        for i, value in enumerate(embedding.history):
-            fh.write(f"{i}\t{value:.17g}\n")

@@ -60,28 +60,21 @@ class EigenPairs:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Node coordinates, one row per node.
+    """Node coordinates with orthonormal columns, one row per node.
 
-    ``mode`` records which family the matrix belongs to: "spectral"
-    columns are orthonormal, "stochastic" rows are probability vectors.
+    Soft cluster assignments, whose rows are probability vectors, are
+    :class:`~modembed.softmax.StochasticEmbedding` instead.
     """
 
     h: np.ndarray
-    mode: str
 
     def __post_init__(self) -> None:
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 2:
             raise ValueError("embedding must be a 2-d array")
-        if self.mode == "spectral":
-            gram = h.T @ h
-            if np.max(np.abs(gram - np.eye(h.shape[1]))) > _ORTHO_TOL:
-                raise ValueError("spectral embedding columns must be orthonormal")
-        elif self.mode == "stochastic":
-            if h.min() < 0 or np.max(np.abs(h.sum(axis=1) - 1.0)) > _ORTHO_TOL:
-                raise ValueError("stochastic embedding rows must be distributions")
-        else:
-            raise ValueError(f"unknown embedding mode {self.mode!r}")
+        gram = h.T @ h
+        if np.max(np.abs(gram - np.eye(h.shape[1]))) > _ORTHO_TOL:
+            raise ValueError("spectral embedding columns must be orthonormal")
         object.__setattr__(self, "h", h)
 
     @property
@@ -335,7 +328,7 @@ def spectral_embedding(
 ) -> Embedding:
     """Embed nodes as rows of the top-K eigenvector matrix of Q."""
     pairs = top_k_eigen(_as_matrix(q), k, tol=tol, max_iter=max_iter, method=method)
-    return Embedding(h=pairs.vectors, mode="spectral")
+    return Embedding(h=pairs.vectors)
 
 
 def weighted_distance_objective(q: "ModularityMatrix | np.ndarray", h: np.ndarray) -> float:
@@ -360,6 +353,4 @@ def frobenius_objective(q: "ModularityMatrix | np.ndarray", h: np.ndarray) -> fl
 
 def reconstruct(embedding: Embedding) -> np.ndarray:
     """Rank-K similarity matrix H H^T recomposed from a spectral embedding."""
-    if embedding.mode != "spectral":
-        raise ValueError("reconstruction is defined for spectral embeddings only")
     return embedding.h @ embedding.h.T

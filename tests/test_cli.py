@@ -99,6 +99,32 @@ def test_embed_dim_too_large_is_usage_error(tmp_path, path3_file):
     assert main(["embed", path3_file, "--dim", "99", "--output", str(out)]) == 1
 
 
+def test_cluster_dim_too_large_is_usage_error(tmp_path, path3_file):
+    out = tmp_path / "clusters.tsv"
+    assert main(["cluster", path3_file, "--dim", "9", "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_embed_k_pairs_match_full_spectrum(tmp_path):
+    """A fixed --dim solves for k pairs unless --emit-spectrum needs them all;
+    both routes write the same bytes."""
+    graph_path, _ = _write_planted(tmp_path)
+    short, full = tmp_path / "short.tsv", tmp_path / "full.tsv"
+    assert main(["embed", graph_path, "--dim", "2", "--output", str(short)]) == 0
+    argv = ["embed", graph_path, "--dim", "2", "--output", str(full)]
+    assert main(argv + ["--emit-spectrum", str(tmp_path / "spec.tsv")]) == 0
+    assert short.read_bytes() == full.read_bytes()
+
+
+def test_id_map_bytes(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("b a\na c\n")
+    ids = tmp_path / "ids.tsv"
+    argv = ["embed", str(graph), "--dim", "1", "--id-map", str(ids)]
+    assert main(argv + ["--output", str(tmp_path / "emb.tsv")]) == 0
+    assert ids.read_bytes() == b"b\t0\na\t1\nc\t2\n"
+
+
 def test_eigenmap_path3(tmp_path, path3_file):
     out = tmp_path / "map.tsv"
     assert main(["eigenmap", path3_file, "--dim", "1", "--output", str(out)]) == 0
@@ -154,6 +180,18 @@ def test_cluster_barbell(tmp_path, barbell_file):
     assert min(np.diff(objective)) >= -1e-12
 
 
+def test_history_bytes(tmp_path, barbell_file):
+    hist = tmp_path / "history.tsv"
+    argv = ["cluster", barbell_file, "--dim", "2", "--emit-history", str(hist)]
+    assert main(argv + ["--output", str(tmp_path / "c.tsv")]) == 0
+    lines = hist.read_bytes().split(b"\n")
+    assert lines[0] == b"sweep\tobjective" and lines[-1] == b""
+    for i, line in enumerate(lines[1:-1]):
+        sweep, value = line.split(b"\t")
+        assert sweep == str(i).encode()
+        assert value == f"{float(value):.17g}".encode()
+
+
 def _write_planted(tmp_path, seed=0):
     g, dataset = planted_partition(3, 20, 0.6, 0.05, seed=seed)
     graph_path = tmp_path / "planted.txt"
@@ -202,6 +240,17 @@ def test_classify_planted(tmp_path):
     assert rows["converged"] in {"true", "false"}
 
 
+@pytest.mark.parametrize("command", ["embed", "classify"])
+def test_stdout_matches_file_output(tmp_path, capsys, command):
+    graph_path, label_path = _write_planted(tmp_path)
+    argv = [command, graph_path] + ([label_path] if command == "classify" else [])
+    out = tmp_path / "out.tsv"
+    assert main(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--output", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_classify_rejects_full_training_fraction(tmp_path):
     graph_path, label_path = _write_planted(tmp_path)
     code = main(
@@ -224,6 +273,17 @@ def test_eval_hand_example(tmp_path):
     assert rows["n_evaluated"] == "4"
 
 
+def test_report_bytes(tmp_path):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("n1 A\nn2 A\nn3 B\nn4 B\n")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("n1 A\nn2 B\nn3 B\nn4 B\n")
+    out = tmp_path / "scores.tsv"
+    assert main(["eval", str(truth), str(pred), "--output", str(out)]) == 0
+    expected = f"metric\tvalue\nmicro_f1\t0.75\nmacro_f1\t{15 / 19:.17g}\nn_evaluated\t4\n"
+    assert out.read_bytes() == expected.encode()
+
+
 def test_eval_rejects_unknown_node(tmp_path):
     truth = tmp_path / "truth.txt"
     truth.write_text("n1 A\nn2 B\n")
@@ -239,6 +299,28 @@ def test_usage_errors_exit_one(tmp_path, path3_file):
     assert main(["spectrum", path3_file, "--sampler", "vortex", "--output", out]) == 1
     assert main(["spectrum", path3_file, "--sampler", "walk:0", "--output", out]) == 1
     assert main(["spectrum", path3_file, "--sampler", "walk:17", "--output", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["cluster", "--tol", "nan"],
+        ["cluster", "--tol", "-1"],
+        ["cluster", "--max-sweeps", "-3"],
+        ["embed", "--sampler", "expdist", "--theta", "nan"],
+        ["embed", "--dim", "0"],
+        ["embed", "--dim", "two"],
+    ],
+)
+def test_bad_flag_values_exit_one(tmp_path, path3_file, flags):
+    out = tmp_path / "x.tsv"
+    assert main([flags[0], path3_file, *flags[1:], "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_accepted(tmp_path, barbell_file):
+    argv = ["cluster", barbell_file, "--dim", "2", "--max-sweeps", "0", "--tol", "0"]
+    assert main(argv + ["--output", str(tmp_path / "c.tsv")]) == 0
 
 
 def test_input_errors_exit_two(tmp_path):

@@ -13,7 +13,6 @@ from modembed import (
     planted_partition,
     train_test_split,
 )
-from modembed.evaluate import write_report_tsv
 
 
 def two_class(sizes=(6, 4)):
@@ -212,8 +211,3 @@ def test_load_labels_errors(tmp_path):
     with pytest.raises(FormatError, match="twice"):
         load_labels(doubled, g)
 
-
-def test_write_report_tsv(tmp_path):
-    out = tmp_path / "report.tsv"
-    write_report_tsv([("micro_f1", 0.75), ("n_train", 4)], out)
-    assert out.read_text() == "metric\tvalue\nmicro_f1\t0.75\nn_train\t4\n"

@@ -9,7 +9,6 @@ from modembed import (
     is_connected,
     laplacian,
     load_edge_list,
-    write_id_map,
 )
 
 from helpers import path3, random_connected_graph, triangle
@@ -119,9 +118,3 @@ def test_connectivity():
     assert not is_connected(Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)]))
     assert is_connected(Graph.from_edges([], n=1))
 
-
-def test_write_id_map(tmp_path):
-    g = load_edge_list("b a\na c")
-    out = tmp_path / "ids.tsv"
-    write_id_map(g, out)
-    assert out.read_text() == "b\t0\na\t1\nc\t2\n"

@@ -14,7 +14,6 @@ from modembed import (
     random_walk_sampling,
     set_covariance,
     top_k_eigen,
-    write_matrix_tsv,
 )
 
 from helpers import (
@@ -151,8 +150,3 @@ def test_modularity_matrix_validation():
     with pytest.raises(ValueError):
         ModularityMatrix(np.array([[0.0, 0.1], [-0.1, 0.0]]))
 
-
-def test_write_matrix_tsv(tmp_path):
-    out = tmp_path / "m.tsv"
-    write_matrix_tsv(np.array([[0.5, -0.25]]), out)
-    assert out.read_text() == "0.5\t-0.25\n"

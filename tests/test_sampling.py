@@ -174,7 +174,7 @@ def test_from_matrix_symmetrizes_and_shares_marginals():
     m = np.array([[0.2, 0.3], [0.1, 0.4]])
     s = SampledGraph.from_matrix(m)
     np.testing.assert_allclose(s.p, [[0.2, 0.2], [0.2, 0.4]], rtol=0, atol=0)
-    assert np.array_equal(s.p_u, s.p_w)
+    assert np.array_equal(s.p_u, s.p.sum(axis=0))
 
 
 @pytest.mark.parametrize("seed", range(5))

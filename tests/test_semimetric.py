@@ -232,6 +232,15 @@ def test_pca_matches_svd_oracle():
         assert min(np.abs(col - ref).max(), np.abs(col + ref).max()) <= 1e-8
 
 
+def test_pca_accepts_large_scale_points():
+    """The PSD check tolerates roundoff relative to the Gram matrix's scale:
+    40 points of magnitude ~100 give eigenvalues near -1e-9 that are zero."""
+    x = np.random.default_rng(0).standard_normal((40, 3)) * 100
+    emb, scales = pca_embedding(DataMatrix(x), 40)
+    assert emb.h.shape == (40, 40)
+    np.testing.assert_allclose(scales[3:], 0.0, atol=1e-6 * scales[0])
+
+
 def test_small_theta_sampling_recovers_cohesion_direction():
     """First-order link: off-diagonal entries of Q_theta/(-theta) are
     proportional to the induced cohesion matrix for tiny theta."""

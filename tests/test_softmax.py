@@ -19,7 +19,6 @@ from modembed import (
     update_node,
     zero_diagonal,
 )
-from modembed.softmax import write_history_tsv
 
 from helpers import barbell, random_zero_diag_symmetric, set_partitions
 
@@ -247,9 +246,3 @@ def test_stochastic_embedding_validation():
             converged=True,
         )
 
-
-def test_write_history_tsv(tmp_path):
-    res = softmax_cluster(np.zeros((3, 3)), 2, seed=1)
-    out = tmp_path / "history.tsv"
-    write_history_tsv(res, out)
-    assert out.read_text() == "sweep\tobjective\n0\t0\n1\t0\n"

@@ -146,7 +146,6 @@ def test_select_dimension_errors():
 def test_embedding_triangle_top_one():
     emb = spectral_embedding(_q(triangle()), 1)
     np.testing.assert_allclose(emb.h[:, 0], np.ones(3) / np.sqrt(3), atol=1e-12)
-    assert emb.mode == "spectral"
 
 
 def test_embedding_barbell_leading_column_separates_triangles():
@@ -240,7 +239,7 @@ def test_frobenius_eigenvector_beats_random_unit_vectors():
 
 
 def test_reconstruct_goldens():
-    h = Embedding(np.ones((2, 1)) / np.sqrt(2), "spectral")
+    h = Embedding(np.ones((2, 1)) / np.sqrt(2))
     np.testing.assert_allclose(reconstruct(h), [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
     g = random_connected_graph(np.random.default_rng(47), 9)
     emb = spectral_embedding(_q(g), 9)
@@ -259,9 +258,4 @@ def test_reconstruct_barbell_within_triangle_positive():
 
 def test_embedding_mode_validation():
     with pytest.raises(ValueError):
-        Embedding(np.ones((3, 2)), "spectral")  # columns not orthonormal
-    with pytest.raises(ValueError):
-        Embedding(np.eye(3), "banana")
-    stoch = Embedding(np.full((2, 2), 0.5), "stochastic")
-    with pytest.raises(ValueError):
-        reconstruct(stoch)
+        Embedding(np.ones((3, 2)))  # columns not orthonormal
