@@ -10,7 +10,7 @@ plug into the same covariance picture and live here too.
 >>> from modembed import load_edge_list, edge_sampling, modularity_matrix
 >>> g = load_edge_list("a b\\nb c\\nc a")
 >>> q = modularity_matrix(edge_sampling(g))
->>> round(q.q[0, 1], 6)
+>>> print(round(q.q[0, 1], 6))
 0.055556
 """
 

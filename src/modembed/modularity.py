@@ -28,11 +28,11 @@ class ModularityMatrix:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
             raise ValueError("q must be a non-empty square matrix")
-        if np.max(np.abs(q - q.T)) > 1e-14:
-            raise ValueError("q must be symmetric")
-        if np.max(np.abs(q.sum(axis=1))) > 1e-12:
+        if not np.max(np.abs(q - q.T)) <= 1e-14:
+            raise ValueError("q must be finite and symmetric")
+        if not np.max(np.abs(q.sum(axis=1))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
-        if np.max(np.abs(q)) > 1.0 + 1e-15:
+        if not np.max(np.abs(q)) <= 1.0 + 1e-15:
             raise ValueError("entries of q must lie in [-1, 1]")
         object.__setattr__(self, "q", q)
 

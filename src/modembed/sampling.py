@@ -40,11 +40,11 @@ class SampledGraph:
             raise ValueError("p must be a square matrix")
         if p.size == 0:
             raise ValueError("p must be non-empty")
-        if p.min() < 0:
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > _MASS_TOL:
+        if not p.min() >= 0:
+            raise ValueError("probabilities must be finite and nonnegative")
+        if not abs(p.sum() - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass {p.sum()!r} is not 1")
-        if np.max(np.abs(p - p.T)) > 1e-14:
+        if not np.max(np.abs(p - p.T)) <= 1e-14:
             raise ValueError("p must be symmetric")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", np.asarray(self.p_u, dtype=float))

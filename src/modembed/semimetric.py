@@ -41,11 +41,11 @@ class SemiMetric:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("semi-metric must be a square matrix")
-        if d.size and d.min() < -_AXIOM_TOL:
-            raise ValueError("nonnegativity violated: negative dissimilarity entry")
-        if d.size and np.max(np.abs(np.diag(d))) > _AXIOM_TOL:
+        if d.size and not d.min() >= -_AXIOM_TOL:
+            raise ValueError("nonnegativity violated: negative or NaN dissimilarity entry")
+        if d.size and not np.max(np.abs(np.diag(d))) <= _AXIOM_TOL:
             raise ValueError("zero-diagonal axiom violated")
-        if d.size and np.max(np.abs(d - d.T)) > _AXIOM_TOL:
+        if d.size and not np.max(np.abs(d - d.T)) <= _AXIOM_TOL:
             raise ValueError("symmetry axiom violated")
         object.__setattr__(self, "d", d)
 
@@ -66,12 +66,12 @@ class CohesionMatrix:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("cohesion matrix must be square")
         if g.size:
-            if np.max(np.abs(g - g.T)) > _AXIOM_TOL:
-                raise ValueError("symmetry axiom violated")
-            if np.max(np.abs(g.sum(axis=1))) > _ROWSUM_TOL:
+            if not np.max(np.abs(g - g.T)) <= _AXIOM_TOL:
+                raise ValueError("symmetry axiom violated or non-finite entry")
+            if not np.max(np.abs(g.sum(axis=1))) <= _ROWSUM_TOL:
                 raise ValueError("zero-row-sum axiom violated")
             diag = np.diag(g)
-            if np.min(diag[:, None] + diag[None, :] - 2.0 * g) < -_AXIOM_TOL:
+            if not np.min(diag[:, None] + diag[None, :] - 2.0 * g) >= -_AXIOM_TOL:
                 raise ValueError("self-cohesion dominance axiom violated")
         object.__setattr__(self, "gamma", g)
 
@@ -90,6 +90,8 @@ class DataMatrix:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("data matrix must be 2-d with at least one row")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("data matrix entries must be finite")
         object.__setattr__(self, "x", x)
 
     @cached_property
@@ -252,6 +254,8 @@ def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, 
                 row = [float(f) for f in fields]
             except ValueError:
                 raise FormatError(f"line {lineno}: non-numeric field in {raw!r}") from None
+            if not np.all(np.isfinite(row)):
+                raise FormatError(f"line {lineno}: non-finite field in {raw!r}")
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -42,7 +42,7 @@ class StochasticEmbedding:
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 2 or h.size == 0:
             raise ValueError("h must be a non-empty 2-d array")
-        if h.min() < 0 or np.max(np.abs(h.sum(axis=1) - 1.0)) > _ROW_TOL:
+        if not (h.min() >= 0 and np.max(np.abs(h.sum(axis=1) - 1.0)) <= _ROW_TOL):
             raise ValueError("rows of h must be probability distributions")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "history", np.asarray(self.history, dtype=float))

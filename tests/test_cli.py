@@ -1,5 +1,10 @@
 """Command-line pipeline: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -355,3 +360,34 @@ def test_reruns_are_byte_identical(tmp_path, barbell_file):
             == 0
         )
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_pca_rejects_non_finite_field_with_its_line(tmp_path, capsys, field):
+    points = tmp_path / "points.csv"
+    points.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{field}\n")
+    assert main(["pca", str(points), "--output", str(tmp_path / "p.tsv")]) == 2
+    assert "line 3: non-finite field" in capsys.readouterr().err
+
+
+def test_fresh_process_reruns_are_byte_identical(tmp_path):
+    """Two fresh interpreters with one BLAS thread write the same bytes."""
+    g, _ = planted_partition(3, 15, 0.6, 0.05, seed=2)
+    planted = tmp_path / "planted.txt"
+    planted.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w, _ in g.edges))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    outputs = []
+    for run in range(2):
+        out = {name: tmp_path / f"{name}.{run}" for name in ("embed", "spectrum", "cluster")}
+        for argv in (
+            ["embed", str(planted), "--dim", "auto",
+             "--emit-spectrum", str(out["spectrum"]), "--output", str(out["embed"])],
+            ["cluster", str(planted), "--output", str(out["cluster"])],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "modembed.cli", *argv], env=env, check=True, timeout=120
+            )
+        outputs.append({name: path.read_bytes() for name, path in out.items()})
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0].values())

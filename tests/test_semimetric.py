@@ -7,9 +7,14 @@ import pytest
 from modembed import (
     CohesionMatrix,
     DataMatrix,
+    EigenPairs,
+    Embedding,
     FormatError,
     Graph,
+    ModularityMatrix,
+    SampledGraph,
     SemiMetric,
+    StochasticEmbedding,
     eigenmap_embedding,
     exp_distance_sampling,
     half_sq_euclidean,
@@ -21,6 +26,8 @@ from modembed import (
     modularity_matrix,
     pca_embedding,
     resistance_distance,
+    select_dimension,
+    top_k_eigen,
 )
 
 from helpers import (
@@ -282,3 +289,27 @@ def test_load_points_errors(tmp_path):
     bad.write_text("1.0 fish\n")
     with pytest.raises(FormatError):
         load_points(bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: SampledGraph(a, a.sum(axis=1)),
+        ModularityMatrix,
+        SemiMetric,
+        CohesionMatrix,
+        DataMatrix,
+        Embedding,
+        lambda a: StochasticEmbedding(a, 1.0, 0, [], False),
+        lambda a: EigenPairs(a[0], np.eye(3)),
+        lambda a: top_k_eigen(a, 1),
+        lambda a: select_dimension(a[0], 3),
+    ],
+    ids=["SampledGraph", "ModularityMatrix", "SemiMetric", "CohesionMatrix", "DataMatrix",
+         "Embedding", "StochasticEmbedding", "EigenPairs", "top_k_eigen", "select_dimension"],
+)
+def test_constructors_reject_non_finite(build, value):
+    with pytest.raises(ValueError):
+        build(np.full((3, 3), value))

@@ -10,6 +10,7 @@ from modembed import (
     edge_sampling,
     frobenius_objective,
     modularity_matrix,
+    planted_partition,
     reconstruct,
     select_dimension,
     spectral_embedding,
@@ -259,3 +260,40 @@ def test_reconstruct_barbell_within_triangle_positive():
 def test_embedding_mode_validation():
     with pytest.raises(ValueError):
         Embedding(np.ones((3, 2)))  # columns not orthonormal
+
+
+def _edge_case_matrix(kind, n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, n))
+    g = 0.5 * (g + g.T)
+    v = rng.standard_normal(n)
+    return {
+        "zero": np.zeros((n, n)),
+        "identity": np.eye(n),
+        "rank1": np.outer(v, v),
+        "gaussian": g,
+        "tiny": 1e-6 * g,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity", "rank1", "gaussian", "tiny"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 20, 40])
+def test_power_route_edge_cases(n, kind):
+    """Exact invariant subspaces (zero, identity, rank one) must end the
+    Krylov extension instead of filling the basis with roundoff."""
+    m = _edge_case_matrix(kind, n)
+    scale = max(1.0, np.abs(m).sum(axis=1).max())
+    dense = np.linalg.eigvalsh(m)[::-1]
+    for k in sorted({1, min(n, 3), n}):
+        pairs = top_k_eigen(m, k, method="power")
+        np.testing.assert_allclose(pairs.values, dense[:k], rtol=0, atol=1e-8)
+        residuals = np.linalg.norm(m @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+        assert residuals.max() <= 1e-8 * scale
+
+
+def test_power_route_converges_on_planted_partition_within_500_products():
+    g, _ = planted_partition(8, 50, 0.3, 0.01, seed=0, ensure_connected=True)
+    q = _q(g).q
+    power = top_k_eigen(q, 8, method="power", max_iter=500)
+    dense = top_k_eigen(q, 8)
+    np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-8)
