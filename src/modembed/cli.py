@@ -3,10 +3,11 @@
 One subcommand per pipeline stage: ``spectrum`` and ``embed`` expose
 the spectral side, ``cluster`` and ``classify`` the softmax side,
 ``eigenmap`` and ``pca`` the Laplacian and Euclidean bridges, and
-``eval`` scores label files against each other. All randomness flows
-from the single ``--seed`` flag; per-stage generators are derived from
-it with fixed tags, so any command run twice under the same BLAS
-thread setting writes identical bytes.
+``eval`` scores label files against each other. Only ``cluster`` and
+``classify`` draw random numbers, all from their ``--seed`` flag;
+per-stage generators are derived from it with fixed tags, so any
+command run twice under the same BLAS thread setting writes identical
+bytes.
 
 Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
 3 numerical failure.
@@ -105,11 +106,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--output", default="-", help="output path, '-' for stdout")
-
-
 def _parse_sampler(spec: str) -> tuple[str, int]:
     if spec == "edge":
         return "edge", 0
@@ -168,9 +164,9 @@ def _eigen(
     if k is not None and k > q.n:
         raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
     if k is None or args.emit_spectrum:
-        pairs = top_k_eigen(q.q, q.n, tol=args.tol)
+        pairs = top_k_eigen(q.q, q.n)
         return pairs, k or select_dimension(pairs.values, q.n)
-    return (top_k_eigen(q.q, k, tol=args.tol) if vectors else None), k
+    return (top_k_eigen(q.q, k) if vectors else None), k
 
 
 # ===================================================================
@@ -347,14 +343,19 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sampler=True, dim=True):
-        _add_common_flags(p)
-        p.add_argument("--tol", type=_tolerance, default=1e-10, help="numerical tolerance")
+        p.add_argument("--output", default="-", help="output path, '-' for stdout")
         if sampler:
             _add_sampler_flags(p)
         if dim:
             p.add_argument(
                 "--dim", type=_dimension, default=None, help="embedding dimension: auto or K"
             )
+
+    def softmax(p):
+        p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
+        p.add_argument("--tol", type=_tolerance, default=1e-10, help="softmax stopping tolerance")
+        p.add_argument("--max-sweeps", type=_sweeps, default=1000)
+        p.add_argument("--normalize", action="store_true", help="pre-scale q by 1/max|q|")
 
     p = sub.add_parser("spectrum", help="eigenvalues of the modularity matrix")
     p.add_argument("graph", help="edge-list file")
@@ -384,8 +385,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="softmax clustering of a graph")
     p.add_argument("graph")
     common(p)
-    p.add_argument("--max-sweeps", type=_sweeps, default=1000)
-    p.add_argument("--normalize", action="store_true", help="pre-scale q by 1/max|q|")
+    softmax(p)
     p.add_argument("--emit-history", default=None, help="write the objective trace here")
     p.set_defaults(func=_cmd_cluster)
 
@@ -395,15 +395,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--train-fraction", type=float, default=0.1)
     p.add_argument("--unstratified", action="store_true", help="split without class stratification")
-    p.add_argument("--max-sweeps", type=_sweeps, default=1000)
-    p.add_argument("--normalize", action="store_true")
+    softmax(p)
     p.add_argument("--emit-spectrum", default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("eval", help="score a prediction file against ground truth")
     p.add_argument("truth", help="ground-truth label file")
     p.add_argument("pred", help="predicted label file")
-    _add_common_flags(p)
+    common(p, sampler=False, dim=False)
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .graph import Graph
+from .graph import Graph, connected_components
 
 
 @dataclass(frozen=True)
@@ -190,66 +190,40 @@ def planted_partition(
     draw = rng.random((n, n))
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     present = upper & (draw < prob)
-    edge_array = np.argwhere(present)
-    edges = [(int(u), int(w), 1.0) for u, w in edge_array]
+    edges = np.argwhere(present)
     if ensure_connected:
-        edges = _repair_connectivity(edges, labels, n, block_size, rng)
-    g = Graph.from_edges(edges, n=n, ids=[str(i) for i in range(n)])
+        edges = _repair_connectivity(edges, labels, rng)
+    g = Graph.from_edges([(u, w, 1.0) for u, w in edges.tolist()], n=n)
     return g, LabeledDataset(labels=labels, n_classes=blocks)
 
 
 def _repair_connectivity(
-    edges: list[tuple[int, int, float]],
-    labels: np.ndarray,
-    n: int,
-    block_size: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, int, float]]:
-    existing = {(u, w) for u, w, _ in edges}
+    edges: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """``edges`` plus seeded repair edges that connect the graph.
 
-    def add(u: int, w: int) -> None:
-        key = (min(u, w), max(u, w))
-        if u != w and key not in existing:
-            existing.add(key)
-            edges.append((key[0], key[1], 1.0))
-
-    degree = np.zeros(n, dtype=int)
-    for u, w, _ in edges:
-        degree[u] += 1
-        degree[w] += 1
-    for u in np.flatnonzero(degree == 0):
+    Each isolated node is joined to a random block mate (any other node
+    if it has none), skipping a pair already added. The components are
+    then chained in order of smallest member: component c is joined to
+    the union of components 0..c-1, which is the component that holds
+    node 0 once the earlier links are in.
+    """
+    n = labels.size
+    added: set[tuple[int, int]] = set()
+    for u in np.flatnonzero(np.bincount(edges.ravel(), minlength=n) == 0):
         mates = np.flatnonzero(labels == labels[u])
         mates = mates[mates != u]
-        if mates.size:
-            add(int(u), int(rng.choice(mates)))
-        else:
-            add(int(u), int(rng.choice([v for v in range(n) if v != u])))
-    components = _components(edges, n)
-    while len(components) > 1:
-        a = components[0]
-        b = components[1]
-        add(int(rng.choice(a)), int(rng.choice(b)))
-        components = _components(edges, n)
-    return edges
-
-
-def _components(edges: list[tuple[int, int, float]], n: int) -> list[np.ndarray]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w, _ in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-    roots: dict[int, list[int]] = {}
-    for v in range(n):
-        roots.setdefault(find(v), []).append(v)
-    return [np.array(members) for members in roots.values()]
+        if not mates.size:
+            mates = np.delete(np.arange(n), u)
+        w = int(rng.choice(mates))
+        added.add((min(u, w), max(u, w)))
+    edges = np.vstack([edges, np.array(sorted(added), dtype=np.int64).reshape(-1, 2)])
+    component = connected_components(edges, n)
+    links = [
+        (rng.choice(np.flatnonzero(component < c)), rng.choice(np.flatnonzero(component == c)))
+        for c in range(1, component.max() + 1)
+    ]
+    return np.vstack([edges, np.array(links, dtype=np.int64).reshape(-1, 2)])
 
 
 def read_label_map(path: str | Path) -> dict[str, str]:

@@ -1,9 +1,10 @@
 """Undirected weighted graphs with contiguous integer node indices.
 
-Graphs are small enough at the supported scale (a few thousand nodes) to
-keep a dense adjacency matrix around, and every routine in this package
-leans on that: no sparse formats, no incremental updates. A ``Graph`` is
-read-only once built.
+A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
+(m, 2) canonical pairs u < w with no pair repeated, and ``weights``,
+one positive weight per pair. The dense adjacency matrix and the degree
+vector are derived from them on first use; at the supported scale (a
+few thousand nodes) the dense adjacency is what the samplers consume.
 """
 
 from __future__ import annotations
@@ -17,17 +18,20 @@ import numpy as np
 from .errors import FormatError
 
 
-@dataclass(frozen=True)
+# Arrays have no truth value, so fields cannot be compared: equality is identity.
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple undirected graph with positive edge weights.
 
-    Nodes are indexed 0..n-1. Edges are stored once in canonical
-    (u < w) order with duplicates already merged. ``ids`` maps each
-    index back to the external identifier it was loaded under.
+    Nodes are indexed 0..n-1. Row i of ``edges`` is the pair
+    (u, w) with u < w that carries weight ``weights[i]``; each pair
+    appears once. ``ids`` maps each index back to the external
+    identifier it was loaded under.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
+    weights: np.ndarray
     ids: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -37,27 +41,33 @@ class Graph:
             object.__setattr__(self, "ids", tuple(str(i) for i in range(self.n)))
         if len(self.ids) != self.n:
             raise ValueError("ids must have one entry per node")
-        seen = set()
-        touched = np.zeros(self.n, dtype=bool)
-        for u, w, weight in self.edges:
-            if not (0 <= u < self.n and 0 <= w < self.n):
-                raise ValueError(f"edge ({u}, {w}) has an out-of-range endpoint")
-            if u == w:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            if u > w:
-                raise ValueError(f"edge ({u}, {w}) is not in canonical order")
-            if weight <= 0:
-                raise ValueError(f"edge ({u}, {w}) has non-positive weight {weight}")
-            if (u, w) in seen:
-                raise ValueError(f"duplicate edge ({u}, {w})")
-            seen.add((u, w))
-            touched[u] = touched[w] = True
-        if self.n >= 2 and not touched.all():
-            isolated = np.flatnonzero(~touched)
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        weights = np.array(self.weights, dtype=float)
+        if weights.shape != (edges.shape[0],):
+            raise ValueError("weights must hold one entry per edge")
+        u, w = edges.T
+        for bad, problem in (
+            (((edges < 0) | (edges >= self.n)).any(axis=1), "has an out-of-range endpoint"),
+            (u == w, "is a self-loop"),
+            (u > w, "is not in canonical order"),
+            (~(weights > 0), "has a non-positive weight"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"edge ({u[i]}, {w[i]}) {problem}")
+        pairs, counts = np.unique(edges, axis=0, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate edge {tuple(pairs[np.argmax(counts > 1)].tolist())}")
+        isolated = np.flatnonzero(np.bincount(edges.ravel(), minlength=self.n) == 0)
+        if self.n >= 2 and isolated.size:
             raise ValueError(
                 "isolated nodes are not supported: "
                 + ", ".join(str(i) for i in isolated[:10])
             )
+        edges.setflags(write=False)
+        weights.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_edges(
@@ -66,48 +76,41 @@ class Graph:
         n: int | None = None,
         ids: Iterable[str] | None = None,
     ) -> "Graph":
-        """Build a graph from an edge iterable, merging duplicate pairs.
+        """Build a graph from (u, w, weight) triples, merging duplicate pairs.
 
         Parallel entries for the same unordered pair have their weights
-        summed. ``n`` defaults to one past the largest endpoint index.
+        summed in input order. ``n`` defaults to one past the largest
+        endpoint index.
         """
-        merged: dict[tuple[int, int], float] = {}
-        top = -1
-        for u, w, weight in edges:
-            u, w = int(u), int(w)
-            if u == w:
-                raise ValueError(f"self-loop at node {u} is not allowed")
-            key = (u, w) if u < w else (w, u)
-            merged[key] = merged.get(key, 0.0) + float(weight)
-            top = max(top, u, w)
+        table = np.array(list(edges) or np.empty((0, 3)), dtype=float)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError("edges must be (u, w, weight) triples")
+        ends = table[:, :2].astype(np.int64)
+        pairs, inverse = np.unique(np.sort(ends, axis=1), axis=0, return_inverse=True)
+        weights = np.zeros(pairs.shape[0])
+        np.add.at(weights, inverse.ravel(), table[:, 2])
         if n is None:
-            n = top + 1
-        canonical = tuple(
-            (u, w, weight) for (u, w), weight in sorted(merged.items())
-        )
-        return cls(n=n, edges=canonical, ids=tuple(ids) if ids is not None else ())
+            n = int(ends.max(initial=-1)) + 1
+        return cls(n, pairs, weights, tuple(ids) if ids is not None else ())
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.edges.shape[0]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix (bit-exact A[u, w] == A[w, u])."""
         a = np.zeros((self.n, self.n))
-        for u, w, weight in self.edges:
-            a[u, w] = weight
-            a[w, u] = weight
+        u, w = self.edges.T
+        a[u, w] = a[w, u] = self.weights
         a.setflags(write=False)
         return a
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degree of every node."""
+        """Weighted degree of every node, summed in edge order."""
         d = np.zeros(self.n)
-        for u, w, weight in self.edges:
-            d[u] += weight
-            d[w] += weight
+        np.add.at(d, self.edges.ravel(), np.repeat(self.weights, 2))
         d.setflags(write=False)
         return d
 
@@ -115,14 +118,6 @@ class Graph:
     def total_weight(self) -> float:
         """Total degree, i.e. twice the sum of edge weights."""
         return float(self.degrees.sum())
-
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, w, _ in self.edges:
-            nbrs[u].append(w)
-            nbrs[w].append(u)
-        return tuple(tuple(v) for v in nbrs)
 
     def index_of(self, external_id: str) -> int:
         return self._index[external_id]
@@ -194,21 +189,25 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first connectivity check. Trivially true for n <= 1."""
-    if g.n <= 1:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    nbrs = g._neighbors
-    while stack:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+def connected_components(edges: np.ndarray, n: int) -> np.ndarray:
+    """Component index of every node, components numbered by smallest member.
 
+    ``edges`` is an (m, 2) array of node pairs. Each round hooks the
+    larger of two roots joined by an edge onto the smaller one, then
+    jumps pointers until every node points at its root, so a root is
+    always the smallest member of its tree.
+    """
+    parent = np.arange(n)
+    u, w = edges.T
+    while True:
+        while not np.array_equal(parent, parent[parent]):
+            parent = parent[parent]
+        ru, rw = parent[u], parent[w]
+        if np.array_equal(ru, rw):
+            return np.unique(parent, return_inverse=True)[1]
+        np.minimum.at(parent, np.maximum(ru, rw), np.minimum(ru, rw))
+
+
+def is_connected(g: Graph) -> bool:
+    """Whether g has a single connected component. Trivially true for n <= 1."""
+    return g.n <= 1 or not connected_components(g.edges, g.n).any()

@@ -10,7 +10,7 @@ the downstream modularity machinery assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +28,12 @@ MAX_WALK_LENGTH = 16
 class SampledGraph:
     """Joint distribution over ordered node pairs with its marginal.
 
-    ``p`` is symmetric, so its row sums ``p_u`` are its column sums too.
+    The marginal ``p_u`` is derived from ``p`` as its row sums, which
+    are its column sums too because ``p`` is symmetric.
     """
 
     p: np.ndarray
-    p_u: np.ndarray
+    p_u: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
@@ -47,14 +48,15 @@ class SampledGraph:
         if not np.max(np.abs(p - p.T)) <= 1e-14:
             raise ValueError("p must be symmetric")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_u", np.asarray(self.p_u, dtype=float))
+        object.__setattr__(self, "p_u", p.sum(axis=1))
 
     @classmethod
     def from_matrix(cls, p: np.ndarray) -> "SampledGraph":
-        """Symmetrize defensively and attach the marginal."""
+        """Symmetrize defensively before validating."""
         p = np.asarray(p, dtype=float)
+        # Rebinding p frees a temporary input before validation allocates.
         p = 0.5 * (p + p.T)
-        return cls(p=p, p_u=p.sum(axis=1))
+        return cls(p)
 
     @property
     def n(self) -> int:
@@ -95,14 +97,14 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
     d = g.degrees
     p_step = a / d[:, None]
     pi = d / g.total_weight
-    walk = np.diag(pi)
+    walk = pi[:, None] * p_step
     if exact_length:
-        for _ in range(length):
+        for _ in range(length - 1):
             walk = walk @ p_step
         mix = walk
     else:
-        mix = np.zeros_like(a)
-        for _ in range(length):
+        mix = walk.copy()
+        for _ in range(length - 1):
             walk = walk @ p_step
             mix += walk
         mix /= length

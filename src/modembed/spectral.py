@@ -118,7 +118,7 @@ def _dense_top_k(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_top_k(
-    m: np.ndarray, k: int, tol: float, max_iter: int
+    m: np.ndarray, k: int, bound: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Thick-restarted block Krylov iteration with Rayleigh-Ritz extraction.
 
@@ -132,10 +132,10 @@ def _power_top_k(
     its unprojected product is dropped, so an invariant subspace ends
     the extension instead of feeding roundoff into the basis. m is
     touched only through block products, and ``max_iter`` caps their
-    number.
+    number. The iteration stops once every wanted Ritz residual is at
+    most ``bound``.
     """
     n = m.shape[0]
-    bound = tol * max(1.0, float(np.max(np.abs(m).sum(axis=1))))
     rng = np.random.default_rng(0x5EED)
     x = np.linalg.qr(rng.standard_normal((n, min(n, k + 2))))[0]
     mx = m @ x
@@ -205,16 +205,15 @@ def top_k_eigen(
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
+    scale = max(1.0, float(np.max(np.abs(m).sum(axis=1))))
     if method == "dense":
         values, vectors = _dense_top_k(m, k)
     elif method == "power":
-        values, vectors = _power_top_k(m, k, tol, max_iter)
+        values, vectors = _power_top_k(m, k, tol * scale, max_iter)
     else:
         raise ValueError(f"unknown eigensolver method {method!r}")
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = _fix_signs(vectors[:, order])
-    bound = _RESIDUAL_BOUND * max(1.0, float(np.max(np.abs(m).sum(axis=1))))
+    vectors = _fix_signs(vectors)
+    bound = _RESIDUAL_BOUND * scale
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
     if not residuals.max() <= bound:
         raise NumericalError(

@@ -384,7 +384,7 @@ def test_16_cli_determinism(tmp_path):
     graph.write_text("a b\na c\nb c\nd e\nd f\ne f\nc d\n")
     g, dataset = planted_partition(3, 15, 0.6, 0.05, seed=2)
     planted = tmp_path / "planted.txt"
-    planted.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w, _ in g.edges))
+    planted.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w in g.edges))
     labels = tmp_path / "labels.txt"
     labels.write_text(
         "".join(f"{g.ids[i]} c{dataset.labels[i]}\n" for i in range(g.n))

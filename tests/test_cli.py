@@ -201,7 +201,7 @@ def _write_planted(tmp_path, seed=0):
     g, dataset = planted_partition(3, 20, 0.6, 0.05, seed=seed)
     graph_path = tmp_path / "planted.txt"
     graph_path.write_text(
-        "".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w, _ in g.edges)
+        "".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w in g.edges)
     )
     label_path = tmp_path / "planted_labels.txt"
     label_path.write_text(
@@ -315,6 +315,15 @@ def test_usage_errors_exit_one(tmp_path, path3_file):
         ["embed", "--sampler", "expdist", "--theta", "nan"],
         ["embed", "--dim", "0"],
         ["embed", "--dim", "two"],
+        ["spectrum", "--seed", "1"],
+        ["spectrum", "--tol", "1"],
+        ["embed", "--seed", "1"],
+        ["embed", "--tol", "1"],
+        ["eigenmap", "--dim", "1", "--seed", "1"],
+        ["eigenmap", "--dim", "1", "--tol", "1"],
+        ["pca", "--seed", "1"],
+        ["pca", "--tol", "1"],
+        ["eval", "pred.txt", "--seed", "1"],
     ],
 )
 def test_bad_flag_values_exit_one(tmp_path, path3_file, flags):
@@ -374,7 +383,7 @@ def test_fresh_process_reruns_are_byte_identical(tmp_path):
     """Two fresh interpreters with one BLAS thread write the same bytes."""
     g, _ = planted_partition(3, 15, 0.6, 0.05, seed=2)
     planted = tmp_path / "planted.txt"
-    planted.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w, _ in g.edges))
+    planted.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w in g.edges))
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     outputs = []

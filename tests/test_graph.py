@@ -14,16 +14,20 @@ from modembed import (
 from helpers import path3, random_connected_graph, triangle
 
 
+def _triples(g):
+    return tuple(zip(*g.edges.T.tolist(), g.weights.tolist()))
+
+
 def test_parse_two_edges():
     g = load_edge_list("a b\nb c")
     assert g.n == 3
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert _triples(g) == ((0, 1, 1.0), (1, 2, 1.0))
     assert g.ids == ("a", "b", "c")
 
 
 def test_parse_merges_duplicate_edges():
     g = load_edge_list("a b 2\na b 3")
-    assert g.edges == ((0, 1, 5.0),)
+    assert _triples(g) == ((0, 1, 5.0),)
 
 
 def test_parse_rejects_self_loop():
@@ -44,7 +48,7 @@ def test_parse_reports_line_number():
 
 def test_comments_and_blank_lines_ignored():
     g = load_edge_list("# header\n\na b 1.5\nb c\n")
-    assert g.edges == ((0, 1, 1.5), (1, 2, 1.0))
+    assert _triples(g) == ((0, 1, 1.5), (1, 2, 1.0))
 
 
 def test_ids_interned_in_first_appearance_order():
@@ -57,12 +61,12 @@ def test_ids_interned_in_first_appearance_order():
 
 def test_from_edges_canonical_order():
     g = Graph.from_edges([(2, 1, 1.0), (1, 0, 2.0)])
-    assert g.edges == ((0, 1, 2.0), (1, 2, 1.0))
+    assert _triples(g) == ((0, 1, 2.0), (1, 2, 1.0))
 
 
 def test_from_edges_merges_reversed_duplicates():
     g = Graph.from_edges([(0, 1, 1.5), (1, 0, 2.5)])
-    assert g.edges == ((0, 1, 4.0),)
+    assert _triples(g) == ((0, 1, 4.0),)
 
 
 def test_isolated_node_rejected():
@@ -73,7 +77,7 @@ def test_isolated_node_rejected():
 def test_single_node_graph_allowed():
     g = Graph.from_edges([], n=1)
     assert g.n == 1
-    assert g.edges == ()
+    assert _triples(g) == ()
 
 
 def test_adjacency_and_degrees():
@@ -118,3 +122,31 @@ def test_connectivity():
     assert not is_connected(Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)]))
     assert is_connected(Graph.from_edges([], n=1))
 
+
+def _bfs_connected(a):
+    seen, stack = {0}, [0]
+    while stack:
+        for w in np.flatnonzero(a[stack.pop()]):
+            if int(w) not in seen:
+                seen.add(int(w))
+                stack.append(int(w))
+    return len(seen) == a.shape[0]
+
+
+def test_is_connected_matches_bfs_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        sizes = rng.integers(2, 9, size=rng.integers(1, 6))
+        n = int(sizes.sum())
+        perm = rng.permutation(n)
+        edges, start = [], 0
+        for size in sizes:
+            part = random_connected_graph(rng, int(size))
+            for u, w in np.argwhere(np.triu(part.adjacency)):
+                edges.append((perm[start + u], perm[start + w], 1.0))
+            start += size
+        for _ in range(int(rng.integers(0, sizes.size))):
+            u, w = rng.choice(n, size=2, replace=False)
+            edges.append((u, w, 1.0))
+        g = Graph.from_edges(edges, n=n)
+        assert is_connected(g) == _bfs_connected(g.adjacency)

@@ -177,6 +177,13 @@ def test_from_matrix_symmetrizes_and_shares_marginals():
     assert np.array_equal(s.p_u, s.p.sum(axis=0))
 
 
+def test_marginal_is_derived_from_p():
+    with pytest.raises(TypeError):
+        SampledGraph(np.full((2, 2), 0.25), np.array([0.9, -3.0]))
+    s = SampledGraph(np.array([[0.1, 0.2], [0.2, 0.5]]))
+    assert np.array_equal(s.p_u, s.p.sum(axis=1))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_sampler_invariants(seed):
     rng = np.random.default_rng(100 + seed)

@@ -296,7 +296,7 @@ def test_load_points_errors(tmp_path):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda a: SampledGraph(a, a.sum(axis=1)),
+        lambda a: SampledGraph(a),
         ModularityMatrix,
         SemiMetric,
         CohesionMatrix,
