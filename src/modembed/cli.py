@@ -34,7 +34,7 @@ from .sampling import (
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
-from .spectral import EigenPairs, Embedding, reconstruct, select_dimension, top_k_eigen
+from .spectral import Embedding, krylov_pays, reconstruct, select_dimension, top_k_eigen
 
 
 class _UsageError(Exception):
@@ -151,22 +151,33 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix:
 
 def _eigen(
     args: argparse.Namespace, q: ModularityMatrix, vectors: bool = True
-) -> tuple[EigenPairs | None, int]:
-    """Leading eigenpairs of Q and the dimension k the command uses.
+) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """Spectrum of Q, the n x k coordinates the command writes, and k.
 
-    The whole spectrum is computed only when ``--dim auto`` or an
-    ``--emit-spectrum`` sidecar needs it. A fixed ``--dim k`` asks for
-    k pairs, or for none when the caller needs no vectors. The dense
-    solver decomposes all of Q either way, so the first k pairs are the
-    same bytes on both routes.
+    The whole spectrum is computed, densely, only when ``--dim auto`` or
+    an ``--emit-spectrum`` sidecar needs it; the values are None
+    otherwise. A fixed ``--dim k`` for which ``krylov_pays(k, n)``
+    holds gets its columns from one Krylov call for exactly k pairs,
+    sidecar or not; they agree with the dense ones to the residual
+    contract, not bit for bit. Otherwise the columns come from the dense
+    solve: the whole-spectrum one if it ran, else one for k pairs, which
+    gives the same bytes. ``vectors=False`` skips the k-pair call, so a
+    fixed k then comes with no coordinates.
     """
     k = args.dim
     if k is not None and k > q.n:
         raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
+    krylov = k is not None and krylov_pays(k, q.n)
+    values = h = None
     if k is None or args.emit_spectrum:
         pairs = top_k_eigen(q.q, q.n)
-        return pairs, k or select_dimension(pairs.values, q.n)
-    return (top_k_eigen(q.q, k) if vectors else None), k
+        values = pairs.values
+        k = k or select_dimension(values, q.n)
+        if not krylov:
+            h = pairs.vectors[:, :k]
+    if h is None and vectors:
+        h = top_k_eigen(q.q, k, method="power" if krylov else "dense").vectors
+    return values, h, k
 
 
 # ===================================================================
@@ -209,17 +220,17 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    pairs, k = _eigen(args, _covariance(args, _load_graph(args.graph)))
-    _write_tsv(args.output, _spectrum_rows(pairs.values, k))
+    values, _, k = _eigen(args, _covariance(args, _load_graph(args.graph)))
+    _write_tsv(args.output, _spectrum_rows(values, k))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    pairs, k = _eigen(args, _covariance(args, g))
-    _write_tsv(args.output, _embedding_rows(g.ids, pairs.vectors[:, :k]))
+    values, h, k = _eigen(args, _covariance(args, g))
+    _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
-        _write_tsv(args.emit_spectrum, _spectrum_rows(pairs.values, k))
+        _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
     if args.id_map:
         _write_tsv(args.id_map, _id_rows(g))
     return 0
@@ -254,7 +265,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     q = _covariance(args, g)
-    _, k = _eigen(args, q, vectors=False)
+    _, _, k = _eigen(args, q, vectors=False)
     result = softmax_cluster(
         q.q,
         max(2, k) if args.dim is None else k,
@@ -273,8 +284,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dataset, _ = load_labels(args.labels, g)
-    pairs, k = _eigen(args, _covariance(args, g))
-    recomposed = zero_diagonal(reconstruct(Embedding(h=pairs.vectors[:, :k])))
+    values, h, k = _eigen(args, _covariance(args, g))
+    recomposed = zero_diagonal(reconstruct(Embedding(h=h)))
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,
@@ -304,7 +315,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     ]
     _write_tsv(args.output, rows)
     if args.emit_spectrum:
-        _write_tsv(args.emit_spectrum, _spectrum_rows(pairs.values, k))
+        _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
     return 0
 
 

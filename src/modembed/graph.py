@@ -41,7 +41,7 @@ class Graph:
             object.__setattr__(self, "ids", tuple(str(i) for i in range(self.n)))
         if len(self.ids) != self.n:
             raise ValueError("ids must have one entry per node")
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = _endpoints(self.edges)
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (edges.shape[0],):
             raise ValueError("weights must hold one entry per edge")
@@ -50,7 +50,7 @@ class Graph:
             (((edges < 0) | (edges >= self.n)).any(axis=1), "has an out-of-range endpoint"),
             (u == w, "is a self-loop"),
             (u > w, "is not in canonical order"),
-            (~(weights > 0), "has a non-positive weight"),
+            (~(np.isfinite(weights) & (weights > 0)), "has a non-finite or non-positive weight"),
         ):
             if bad.any():
                 i = int(np.argmax(bad))
@@ -85,7 +85,7 @@ class Graph:
         table = np.array(list(edges) or np.empty((0, 3)), dtype=float)
         if table.ndim != 2 or table.shape[1] != 3:
             raise ValueError("edges must be (u, w, weight) triples")
-        ends = table[:, :2].astype(np.int64)
+        ends = _endpoints(table[:, :2])
         pairs, inverse = np.unique(np.sort(ends, axis=1), axis=0, return_inverse=True)
         weights = np.zeros(pairs.shape[0])
         np.add.at(weights, inverse.ravel(), table[:, 2])
@@ -125,6 +125,27 @@ class Graph:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.ids)}
+
+
+def _endpoints(ends) -> np.ndarray:
+    """Endpoint pairs as a new (m, 2) int64 array.
+
+    Raises ValueError on a value that is not a whole number, rather than
+    truncating it, and on one beyond the int64 range, rather than
+    wrapping it.
+    """
+    ends = np.asarray(ends)
+    if ends.dtype.kind not in "biu":
+        ends = ends.astype(float).reshape(-1, 2)
+        whole = (np.isfinite(ends) & (ends == np.trunc(ends))).all(axis=1)
+        if not whole.all():
+            u, w = ends[np.argmin(whole)]
+            raise ValueError(f"edge ({u:g}, {w:g}) has a non-integer endpoint")
+        big = (np.abs(ends) >= 2.0**63).any(axis=1)
+        if big.any():
+            u, w = ends[np.argmax(big)]
+            raise ValueError(f"edge ({u:g}, {w:g}) has an out-of-range endpoint")
+    return ends.astype(np.int64).reshape(-1, 2)
 
 
 def load_edge_list(lines: Iterable[str] | str) -> Graph:

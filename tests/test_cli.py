@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modembed import planted_partition
+from modembed import cli, edge_sampling, modularity_matrix, planted_partition, top_k_eigen
 from modembed.cli import main
+from modembed.spectral import krylov_pays
 
 BARBELL = "a b\na c\nb c\nd e\nd f\ne f\nc d\n"
 PATH3 = "a b\nb c\n"
@@ -400,3 +401,113 @@ def test_fresh_process_reruns_are_byte_identical(tmp_path):
         outputs.append({name: path.read_bytes() for name, path in out.items()})
     assert outputs[0] == outputs[1]
     assert all(outputs[0].values())
+
+
+def _record_eigen_calls(monkeypatch):
+    """Replace cli.top_k_eigen with a pass-through that logs (k, method)."""
+    calls = []
+    solve = cli.top_k_eigen
+
+    def record(m, k, method="dense", **kwargs):
+        calls.append((k, method))
+        return solve(m, k, method=method, **kwargs)
+
+    monkeypatch.setattr(cli, "top_k_eigen", record)
+    return calls
+
+
+def _write_large_planted(tmp_path, blocks, size):
+    """A connected planted partition big enough for the Krylov route."""
+    g, dataset = planted_partition(blocks, size, 0.2, 0.005, seed=0, ensure_connected=True)
+    graph_path = tmp_path / "large.txt"
+    graph_path.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w in g.edges))
+    label_path = tmp_path / "large_labels.txt"
+    label_path.write_text("".join(f"{g.ids[i]} c{dataset.labels[i]}\n" for i in range(g.n)))
+    return g, str(graph_path), str(label_path)
+
+
+@pytest.mark.parametrize(
+    ("graph", "flags", "expected"),
+    [
+        ("large", ["embed", "--dim", "2"], [(2, "power")]),
+        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(600, "dense"), (2, "power")]),
+        ("large", ["classify", "--dim", "2"], [(2, "power")]),
+        ("planted", ["embed", "--dim", "2"], [(2, "dense")]),
+        ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(60, "dense")]),
+        ("barbell", ["embed", "--dim", "2"], [(2, "dense")]),
+        ("planted", ["embed", "--dim", "auto"], [(60, "dense")]),
+        ("planted", ["cluster", "--dim", "3"], []),
+    ],
+    ids=[
+        "fixed", "fixed-sidecar", "classify-fixed", "small-n", "small-n-sidecar",
+        "barbell", "auto", "cluster",
+    ],
+)
+def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, expected):
+    """A fixed --dim K asks for K pairs on the Krylov route when
+    krylov_pays(K, n), and otherwise reuses or runs the dense solve;
+    spectra and auto always solve densely for all n."""
+    if graph == "large":
+        _, graph_path, label_path = _write_large_planted(tmp_path, 3, 200)
+    elif graph == "planted":
+        graph_path, label_path = _write_planted(tmp_path)
+    else:
+        graph_path, label_path = barbell_file, None
+    command, *rest = flags
+    argv = [command, graph_path] + ([label_path] if command == "classify" else []) + rest
+    if rest[-1] == "--emit-spectrum":
+        argv.append(str(tmp_path / "spec.tsv"))
+    calls = _record_eigen_calls(monkeypatch)
+    assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
+    assert calls == expected
+
+
+def test_krylov_pays_only_for_narrow_bases():
+    """The route needs its basis of 9(K + 2) columns to fit n / 16 times."""
+    assert krylov_pays(16, 3200) and not krylov_pays(21, 3200)
+    assert krylov_pays(2, 576) and not krylov_pays(2, 575)
+    assert not krylov_pays(1, 60)
+
+
+def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
+    """embed --dim 4 on n=1000 runs the Krylov route, with or without a
+    sidecar, and writes orthonormal columns whose Rayleigh quotients are
+    the dense top eigenvalues."""
+    g, graph_path, _ = _write_large_planted(tmp_path, 8, 125)
+    out, with_sidecar = tmp_path / "emb.tsv", tmp_path / "emb_sidecar.tsv"
+    calls = _record_eigen_calls(monkeypatch)
+    assert main(["embed", graph_path, "--dim", "4", "--output", str(out)]) == 0
+    assert calls == [(4, "power")]
+    argv = ["embed", graph_path, "--dim", "4", "--output", str(with_sidecar)]
+    assert main(argv + ["--emit-spectrum", str(tmp_path / "spec.tsv")]) == 0
+    assert out.read_bytes() == with_sidecar.read_bytes()
+    _, body = read_table(out)
+    h = np.zeros((g.n, 4))
+    for name, *row in body:
+        h[g.index_of(name)] = [float(v) for v in row]
+    q = modularity_matrix(edge_sampling(g)).q
+    bound = 1e-8 * max(1.0, np.abs(q).sum(axis=1).max())
+    assert np.abs(h.T @ h - np.eye(4)).max() <= 1e-10
+    theta = np.einsum("ij,ij->j", h, q @ h)
+    assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= bound
+    np.testing.assert_allclose(theta, top_k_eigen(q, 4).values, rtol=0, atol=bound)
+
+
+def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
+    """embed --dim 2 on n=600 takes the Krylov route; two fresh
+    interpreters with one BLAS thread write the same bytes."""
+    g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
+    assert krylov_pays(2, g.n)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"embed.{run}"
+        subprocess.run(
+            [sys.executable, "-m", "modembed.cli", "embed", graph_path, "--dim", "2",
+             "--output", str(out)],
+            env=env, check=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == g.n + 1

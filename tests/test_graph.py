@@ -1,5 +1,8 @@
 """Graph construction, edge-list parsing, Laplacian, connectivity."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,3 +153,47 @@ def test_is_connected_matches_bfs_reference():
             edges.append((u, w, 1.0))
         g = Graph.from_edges(edges, n=n)
         assert is_connected(g) == _bfs_connected(g.adjacency)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges([(0, 1.7, 1.0), (1, 2, 1.0)]),
+        lambda: Graph.from_edges([(0, 1, 1.0), (np.nan, 2, 1.0)]),
+        lambda: Graph(2, [[0, 1.5]], [1.0]),
+        lambda: Graph(3, np.array([[0.0, 1.0], [1.0, np.inf]]), [1.0, 1.0]),
+    ],
+    ids=["from_edges", "from_edges-nan", "init", "init-inf"],
+)
+def test_non_integer_endpoints_rejected(build):
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        build()
+
+
+@pytest.mark.parametrize("far", [1e20, -1e20, 2.0**63])
+def test_float_endpoints_beyond_int64_rejected(far):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"({far:g}, 0) has an out-of-range endpoint")):
+            Graph.from_edges([(far, 0, 1.0)])
+
+
+def test_whole_float_endpoints_accepted():
+    g = Graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]), [1.0, 2.0])
+    assert g.edges.dtype == np.int64
+    assert _triples(g) == ((0, 1, 1.0), (1, 2, 2.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges([(0, 1, np.inf), (1, 2, 1.0)]),
+        lambda: Graph(3, [[0, 1], [1, 2]], [1.0, np.inf]),
+        lambda: Graph.from_edges([(0, 1, 1e308), (1, 0, 1e308)]),
+    ],
+    ids=["from_edges", "init", "merged-overflow"],
+)
+def test_infinite_weight_rejected(build):
+    with pytest.raises(ValueError, match="non-finite or non-positive weight"):
+        build()
