@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _fix_signs
+from .spectral import Embedding, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 _ROWSUM_TOL = 1e-10
@@ -141,22 +141,18 @@ def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
 def laplacian_pinv(g: Graph) -> CohesionMatrix:
     """Moore-Penrose pseudo-inverse of the graph Laplacian.
 
-    Connected graphs only: the single zero eigenvalue (anything below
-    1e-10 times the largest) is dropped and the rest inverted.
+    Connected graphs only: L^+ = (L + sJ/n)^-1 - J/(sn) for any s > 0,
+    with J the all-ones matrix (Klein and Randic 1993). s is the mean
+    weighted degree, so the roundoff does not grow with the weights.
     """
     if g.n == 0:
         raise ValueError("empty graph has no Laplacian pseudo-inverse")
     if not is_connected(g):
         raise ValueError("Laplacian pseudo-inverse requires a connected graph")
     lap = laplacian(g)
-    values, vectors = np.linalg.eigh(lap)
-    cutoff = 1e-10 * float(values[-1]) if values[-1] > 0 else np.inf
-    keep = values > cutoff
-    inv = np.zeros_like(values)
-    inv[keep] = 1.0 / values[keep]
-    gamma = (vectors * inv) @ vectors.T
-    gamma = 0.5 * (gamma + gamma.T)
-    return CohesionMatrix(gamma)
+    s = float(np.trace(lap)) / g.n or 1.0  # a lone node has L = [0]
+    gamma = np.linalg.inv(lap + s / g.n) - 1.0 / (s * g.n)
+    return CohesionMatrix(0.5 * (gamma + gamma.T))
 
 
 def resistance_distance(g: Graph) -> SemiMetric:
@@ -164,24 +160,25 @@ def resistance_distance(g: Graph) -> SemiMetric:
 
     Equivalently the semi-metric induced by twice the pseudo-inverse;
     doubling the pseudo-inverse is what makes the duality close, since
-    double-centering the resistance gives back 2 gamma exactly.
+    double-centering the resistance gives back 2 gamma exactly. The
+    doubling is applied to the induced distances, which is exact, so
+    the pseudo-inverse is validated once, at its own scale.
     """
-    return induce_metric(CohesionMatrix(2.0 * laplacian_pinv(g).gamma))
+    return SemiMetric(2.0 * induce_metric(laplacian_pinv(g)).d)
 
 
 def eigenmap_embedding(g: Graph, k: int) -> Embedding:
     """Laplacian eigenmap: eigenvectors 2..K+1 of L, smallest first.
 
-    The all-ones eigenvector for eigenvalue 0 is skipped, so columns
-    are orthogonal to it; requires a connected graph and k <= n - 1.
+    These are the top K + 1 eigenvectors of -L less the first, the
+    all-ones vector for eigenvalue 0, so columns are orthogonal to it
+    (Belkin and Niyogi 2003); requires a connected graph and k <= n - 1.
     """
     if not is_connected(g):
         raise ValueError("Laplacian eigenmaps require a connected graph")
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"k must be between 1 and {g.n - 1}, got {k}")
-    values, vectors = np.linalg.eigh(laplacian(g))
-    h = _fix_signs(vectors[:, 1 : k + 1])
-    return Embedding(h=h)
+    return Embedding(h=top_k_eigen(-laplacian(g), k + 1).vectors[:, 1:])
 
 
 # ===================================================================
@@ -207,9 +204,11 @@ def pca_embedding(
 ) -> tuple[Embedding, np.ndarray]:
     """Principal components via the centered Gram matrix.
 
-    Returns the top-K unit eigenvectors of (X - c)(X - c)^T as an
-    embedding together with the column scales sqrt(lambda_k); scaled
-    columns reproduce classical PCA scores up to per-column sign.
+    Returns the top-K unit eigenvectors of G = (X - c)(X - c)^T as an
+    embedding together with the column scales sqrt(max(lambda_k, 0));
+    scaled columns reproduce classical PCA scores up to per-column
+    sign. The whole spectrum of G is solved so that its smallest
+    eigenvalue can be checked against -1e-10 times its largest.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
@@ -219,14 +218,12 @@ def pca_embedding(
     n = gram.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    values, vectors = np.linalg.eigh(gram)
+    pairs = top_k_eigen(gram, n)
     # Roundoff in the eigenvalues grows with the scale of the Gram matrix.
-    if values[0] < -1e-10 * abs(values[-1]):
+    if pairs.values[-1] < -1e-10 * abs(pairs.values[0]):
         raise ValueError("centered Gram matrix is not positive semi-definite")
-    order = np.arange(n - 1, n - 1 - k, -1)
-    top = _fix_signs(vectors[:, order])
-    scales = np.sqrt(np.maximum(values[order], 0.0))
-    return Embedding(h=top), scales
+    scales = np.sqrt(np.maximum(pairs.values[:k], 0.0))
+    return Embedding(h=pairs.vectors[:, :k]), scales
 
 
 def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, list[str]]:

@@ -10,11 +10,13 @@ import pytest
 
 from modembed import cli, edge_sampling, modularity_matrix, planted_partition, top_k_eigen
 from modembed.cli import main
+from modembed.evaluate import read_label_map
 from modembed.spectral import krylov_pays
 
 BARBELL = "a b\na c\nb c\nd e\nd f\ne f\nc d\n"
 PATH3 = "a b\nb c\n"
 TRIANGLE = "a b\nb c\na c\n"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -358,6 +360,31 @@ def test_numerical_errors_exit_three(tmp_path, path3_file):
         ["spectrum", path3_file, "--sampler", "expdist", "--theta", "-1000", "--output", out]
     )
     assert code == 3
+
+
+def test_spectrum_expdist_on_long_path(tmp_path):
+    """The resistance distances of a 100-node path pass the cohesion
+    check, so the expdist spectrum is written instead of exit 2."""
+    graph = tmp_path / "path100.txt"
+    graph.write_text("".join(f"v{u} v{u + 1}\n" for u in range(99)))
+    out = tmp_path / "spec.tsv"
+    assert main(["spectrum", str(graph), "--sampler", "expdist", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 102
+
+
+@pytest.mark.parametrize(("command", "missed"), [("embed", ["8"]), ("eigenmap", ["2", "8"])])
+def test_karate_sign_split_matches_factions(tmp_path, command, missed):
+    """On Zachary's karate club the sign of the one-dimensional embedding
+    puts every member but those listed on the side of their faction."""
+    out = tmp_path / "karate.tsv"
+    assert main([command, str(DATA / "karate.txt"), "--dim", "1", "--output", str(out)]) == 0
+    factions = read_label_map(DATA / "karate_factions.txt")
+    _, body = read_table(out)
+    positive = {name: float(value) > 0 for name, value in body}
+    assert len(positive) == 34
+    hi = positive["0"]  # member 0 is Mr. Hi
+    wrong = [name for name, side in positive.items() if (side == hi) != (factions[name] == "mr_hi")]
+    assert sorted(wrong, key=int) == missed
 
 
 def test_reruns_are_byte_identical(tmp_path, barbell_file):

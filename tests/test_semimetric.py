@@ -1,6 +1,8 @@
 """Semi-metric/cohesion duality, Laplacian pseudo-inverse, resistance,
 eigenmaps, and the PCA bridge."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,11 @@ def test_laplacian_pinv_single_edge():
     )
 
 
+def test_laplacian_pinv_lone_node():
+    g = Graph(n=1, edges=np.zeros((0, 2), dtype=int), weights=np.zeros(0))
+    assert laplacian_pinv(g).gamma.tolist() == [[0.0]]
+
+
 def test_laplacian_pinv_triangle():
     expected = (np.eye(3) - np.full((3, 3), 1 / 3)) / 3.0
     np.testing.assert_allclose(laplacian_pinv(triangle()).gamma, expected, atol=1e-12)
@@ -157,6 +164,51 @@ def test_resistance_cohesion_is_twice_pinv():
     g = random_connected_graph(np.random.default_rng(67), 30)
     gamma = induce_cohesion(resistance_distance(g)).gamma
     np.testing.assert_allclose(gamma, 2.0 * laplacian_pinv(g).gamma, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [100, 500])
+def test_resistance_of_long_path(n):
+    """n - 1 unit resistors in series; the row sums of L+ stay within the
+    cohesion check's 1e-10 of zero (about 1e-13 at n = 100, 1e-11 at
+    n = 500; 4e-11 at n = 1000 leaves too thin a margin to pin)."""
+    r = resistance_distance(Graph.from_edges([(u, u + 1, 1.0) for u in range(n - 1)])).d
+    assert r[0, n - 1] == pytest.approx(n - 1, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "edges, pair, expected",
+    [
+        ([(0, 1, 1e8)], (0, 1), 1e-8),
+        ([(u, u + 1, 1e6) for u in range(99)], (0, 99), 99e-6),
+    ],
+    ids=["edge-1e8", "path100-1e6"],
+)
+def test_resistance_under_large_weights(edges, pair, expected):
+    """The pseudo-inverse's shift follows the scale of L, so heavy edges
+    neither break the zero-row-sum check nor cost relative accuracy."""
+    r = resistance_distance(Graph.from_edges(edges)).d
+    assert r[pair] == pytest.approx(expected, rel=1e-9)
+
+
+def test_resistance_of_long_cycle():
+    """Arcs of k and n - k unit resistors in parallel: k(n - k)/n."""
+    n = 400
+    r = resistance_distance(Graph.from_edges([(u, (u + 1) % n, 1.0) for u in range(n)])).d
+    k = np.arange(n)
+    np.testing.assert_allclose(r[0], k * (n - k) / n, rtol=0, atol=1e-9)
+
+
+def test_resistance_of_barbell():
+    """Two 20-cliques joined through a 30-node path (networkx's
+    barbell_graph(20, 30)): 31 bridge edges in series, and 2/20 between
+    two clique members."""
+    edges = list(combinations(range(20), 2)) + list(combinations(range(50, 70), 2))
+    edges += [(u, u + 1) for u in range(19, 50)]
+    r = resistance_distance(Graph.from_edges([(u, w, 1.0) for u, w in edges])).d
+    assert r.shape == (70, 70)
+    assert r[0, 1] == pytest.approx(0.1, abs=1e-10)
+    assert r[19, 50] == pytest.approx(31.0, abs=1e-10)
+    assert r[0, 69] == pytest.approx(31.2, abs=1e-10)
 
 
 def test_eigenmap_goldens():
