@@ -25,6 +25,7 @@ from .evaluate import (
 )
 from .graph import Graph, is_connected, laplacian, load_edge_list
 from .modularity import (
+    CovarianceOperator,
     ModularityMatrix,
     Partition,
     is_community,
@@ -32,6 +33,7 @@ from .modularity import (
     normalized_modularity,
     partition_modularity,
     set_covariance,
+    walk_covariance,
 )
 from .sampling import (
     SampledGraph,
@@ -77,6 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CohesionMatrix",
+    "CovarianceOperator",
     "DataMatrix",
     "EigenPairs",
     "Embedding",
@@ -124,6 +127,7 @@ __all__ = [
     "top_k_eigen",
     "train_test_split",
     "update_node",
+    "walk_covariance",
     "weighted_distance_objective",
     "zero_diagonal",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FormatError, NumericalError
 from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
 from .graph import Graph, load_edge_list
-from .modularity import ModularityMatrix, modularity_matrix
+from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix, walk_covariance
 from .sampling import (
     MAX_WALK_LENGTH,
     edge_sampling,
@@ -137,12 +137,22 @@ def _load_graph(path: str) -> Graph:
         return load_edge_list(fh)
 
 
-def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix:
-    """Q of the pair distribution the ``--sampler`` flags draw from g."""
+def _covariance(
+    args: argparse.Namespace, g: Graph, matrix_free: bool = False
+) -> ModularityMatrix | CovarianceOperator:
+    """Q of the pair distribution the ``--sampler`` flags draw from g.
+
+    ``matrix_free`` asks for the operator form, which the edge and walk
+    samplers have; expdist always gives the dense matrix.
+    """
     kind, length = _parse_sampler(args.sampler)
     if kind == "edge":
+        if matrix_free:
+            return CovarianceOperator(g)
         sampled = edge_sampling(g)
     elif kind == "walk":
+        if matrix_free:
+            return walk_covariance(g, length, exact_length=args.exact_length)
         sampled = random_walk_sampling(g, length, exact_length=args.exact_length)
     else:
         sampled = exp_distance_sampling(resistance_distance(g), theta=args.theta)
@@ -150,7 +160,10 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix:
 
 
 def _eigen(
-    args: argparse.Namespace, q: ModularityMatrix, vectors: bool = True
+    args: argparse.Namespace,
+    g: Graph,
+    q: ModularityMatrix | None = None,
+    vectors: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Spectrum of Q, the n x k coordinates the command writes, and k.
 
@@ -158,25 +171,33 @@ def _eigen(
     an ``--emit-spectrum`` sidecar needs it; the values are None
     otherwise. A fixed ``--dim k`` for which ``krylov_pays(k, n)``
     holds gets its columns from one Krylov call for exactly k pairs,
-    sidecar or not; they agree with the dense ones to the residual
-    contract, not bit for bit. Otherwise the columns come from the dense
-    solve: the whole-spectrum one if it ran, else one for k pairs, which
-    gives the same bytes. ``vectors=False`` skips the k-pair call, so a
-    fixed k then comes with no coordinates.
+    sidecar or not, on the matrix-free operator for the edge and walk
+    samplers; they agree with the dense ones to the residual contract,
+    not bit for bit. Otherwise the columns come from the dense solve:
+    the whole-spectrum one if it ran, else one for k pairs, which gives
+    the same bytes. The dense Q is ``q`` if given, else built on first
+    need. ``vectors=False`` skips the k-pair call, so a fixed k then
+    comes with no coordinates.
     """
     k = args.dim
-    if k is not None and k > q.n:
-        raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
-    krylov = k is not None and krylov_pays(k, q.n)
+    if k is not None and k > g.n:
+        raise _UsageError(f"--dim {k} exceeds the node count {g.n}")
+    krylov = k is not None and krylov_pays(k, g.n)
     values = h = None
     if k is None or args.emit_spectrum:
-        pairs = top_k_eigen(q.q, q.n)
+        if q is None:
+            q = _covariance(args, g)
+        pairs = top_k_eigen(q, g.n)
         values = pairs.values
-        k = k or select_dimension(values, q.n)
+        k = k or select_dimension(values, g.n)
         if not krylov:
             h = pairs.vectors[:, :k]
     if h is None and vectors:
-        h = top_k_eigen(q.q, k, method="power" if krylov else "dense").vectors
+        if krylov and args.sampler != "expdist":
+            q = _covariance(args, g, matrix_free=True)
+        elif q is None:
+            q = _covariance(args, g)
+        h = top_k_eigen(q, k, method="power" if krylov else "dense").vectors
     return values, h, k
 
 
@@ -220,14 +241,16 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    values, _, k = _eigen(args, _covariance(args, _load_graph(args.graph)))
-    _write_tsv(args.output, _spectrum_rows(values, k))
+    # The graph, with any dense adjacency cached on it, is dropped before the solve.
+    q = _covariance(args, _load_graph(args.graph))
+    values = top_k_eigen(q, q.n).values
+    _write_tsv(args.output, _spectrum_rows(values, select_dimension(values, q.n)))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    values, h, k = _eigen(args, _covariance(args, g))
+    values, h, k = _eigen(args, g)
     _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
@@ -265,7 +288,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     q = _covariance(args, g)
-    _, _, k = _eigen(args, q, vectors=False)
+    _, _, k = _eigen(args, g, q, vectors=False)
     result = softmax_cluster(
         q.q,
         max(2, k) if args.dim is None else k,
@@ -284,7 +307,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dataset, _ = load_labels(args.labels, g)
-    values, h, k = _eigen(args, _covariance(args, g))
+    values, h, k = _eigen(args, g)
     recomposed = zero_diagonal(reconstruct(Embedding(h=h)))
     label_map, holdout = train_test_split(
         dataset,

@@ -3,8 +3,9 @@
 A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 (m, 2) canonical pairs u < w with no pair repeated, and ``weights``,
 one positive weight per pair. The dense adjacency matrix and the degree
-vector are derived from them on first use; at the supported scale (a
-few thousand nodes) the dense adjacency is what the samplers consume.
+vector are derived from them on first use. The dense adjacency is what
+the samplers consume; the sparse one (scipy CSR) feeds the matrix-free
+covariance, which never forms an n x n array.
 """
 
 from __future__ import annotations
@@ -104,6 +105,25 @@ class Graph:
         u, w = self.edges.T
         a[u, w] = a[w, u] = self.weights
         a.setflags(write=False)
+        return a
+
+    @cached_property
+    def sparse_adjacency(self):
+        """The adjacency as a scipy CSR matrix, built without the dense one.
+
+        scipy is imported here, on first use, so commands that never
+        need it do not pay its import time.
+        """
+        from scipy.sparse import csr_matrix
+
+        u, w = self.edges.T
+        a = csr_matrix(
+            (np.concatenate([self.weights, self.weights]),
+             (np.concatenate([u, w]), np.concatenate([w, u]))),
+            shape=(self.n, self.n),
+        )
+        for part in (a.data, a.indices, a.indptr):
+            part.setflags(write=False)
         return a
 
     @cached_property

@@ -5,6 +5,12 @@ measures how much more often a pair co-occurs than independent draws
 from the marginals would suggest. Summed over blocks of a partition it
 generalizes Newman's modularity, which is the special case of edge
 sampling.
+
+Q comes in two forms with the same interface (``n``, ``Q @ X`` and an
+upper bound ``norm_bound`` on the largest absolute row sum): the dense
+:class:`ModularityMatrix` of any sampled graph, which is the oracle,
+and the matrix-free :class:`CovarianceOperator` of the edge and walk
+samplers, which touches only the graph's edges and degrees.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import SampledGraph
+from .graph import Graph
+from .sampling import MAX_WALK_LENGTH, SampledGraph, check_walkable
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,79 @@ class ModularityMatrix:
     @property
     def n(self) -> int:
         return self.q.shape[0]
+
+    @property
+    def norm_bound(self) -> float:
+        """The largest absolute row sum, computed exactly."""
+        return float(np.max(np.abs(self.q).sum(axis=1)))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.q @ x
+
+
+# The graph has no value equality (see Graph), so neither has the operator.
+@dataclass(frozen=True, eq=False)
+class CovarianceOperator:
+    """Matrix-free Q of walks of ``length`` steps from stationarity on g.
+
+    With A the adjacency, D the degrees, 2m their total and
+    p_u = D1/2m the stationary distribution,
+
+        QX = (1/L) sum_{t=1..L} (1/2m) A (D^-1 A)^(t-1) X - p_u (p_u^T X),
+
+    or only the t = L term with ``exact_length``. L = 1, the default, is
+    the Q of :func:`~modembed.sampling.edge_sampling`, Newman's
+    sparse-plus-rank-one modularity AX/2m - p_u (p_u^T X) (Newman 2006);
+    the walk mixture is the co-occurrence matrix NetMF factorizes (Qiu
+    et al. 2018), and :func:`walk_covariance` builds it with the checks
+    of :func:`~modembed.sampling.random_walk_sampling`. Each product costs L sparse products,
+    O(L m) per column; no n x n array is formed. Symmetry holds by
+    construction, and every row sum is at most 2 max p_u in absolute
+    value, which is ``norm_bound``.
+    """
+
+    graph: Graph
+    length: int = 1
+    exact_length: bool = False
+
+    def __post_init__(self) -> None:
+        if self.graph.edge_count == 0:
+            raise ValueError("the covariance of a sampled graph needs at least one edge")
+        if not 1 <= self.length <= MAX_WALK_LENGTH:
+            raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {self.length}")
+        if not np.max(np.abs(self @ np.ones(self.n))) <= 1e-12:
+            raise ValueError("rows of q must sum to zero")
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @cached_property
+    def p_u(self) -> np.ndarray:
+        return self.graph.degrees / self.graph.total_weight
+
+    @property
+    def norm_bound(self) -> float:
+        return 2.0 * float(self.p_u.max())
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        block = x.reshape(self.n, -1)
+        g = self.graph
+        a = g.sparse_adjacency
+        step = total = block
+        for _ in range(self.length - 1):
+            step = (a @ step) / g.degrees[:, None]
+            total = step if self.exact_length else total + step
+        terms = 1 if self.exact_length else self.length
+        q_x = (a @ total) / (terms * g.total_weight) - np.outer(self.p_u, self.p_u @ block)
+        return q_x.reshape(x.shape)
+
+
+def walk_covariance(g: Graph, length: int, exact_length: bool = False) -> CovarianceOperator:
+    """Q of :func:`~modembed.sampling.random_walk_sampling` without forming it."""
+    check_walkable(g, length)
+    return CovarianceOperator(g, length, exact_length)
 
 
 @dataclass(frozen=True)

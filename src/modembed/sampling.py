@@ -87,12 +87,7 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
     t = length. Reversibility makes each term symmetric already; the
     explicit symmetrization only mops up roundoff.
     """
-    if g.edge_count == 0:
-        raise ValueError("random-walk sampling requires at least one edge")
-    if not 1 <= length <= MAX_WALK_LENGTH:
-        raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {length}")
-    if not is_connected(g):
-        raise ValueError("random-walk sampling requires a connected graph")
+    check_walkable(g, length)
     a = g.adjacency
     d = g.degrees
     p_step = a / d[:, None]
@@ -109,6 +104,18 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
             mix += walk
         mix /= length
     return SampledGraph.from_matrix(mix)
+
+
+def check_walkable(g: Graph, length: int) -> None:
+    """Reject what random-walk sampling cannot start from: a graph with
+    no edges or more than one component, or a length outside
+    1..MAX_WALK_LENGTH."""
+    if g.edge_count == 0:
+        raise ValueError("random-walk sampling requires at least one edge")
+    if not 1 <= length <= MAX_WALK_LENGTH:
+        raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {length}")
+    if not is_connected(g):
+        raise ValueError("random-walk sampling requires a connected graph")
 
 
 def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledGraph:

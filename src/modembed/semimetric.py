@@ -23,7 +23,9 @@ from .graph import Graph, is_connected, laplacian
 from .spectral import Embedding, top_k_eigen
 
 _AXIOM_TOL = 1e-12
-_ROWSUM_TOL = 1e-10
+# Row sums of a cohesion matrix vanish to within this many times
+# n * eps * max|gamma|, the roundoff of summing n entries of that size.
+_ROWSUM_ULPS = 16
 
 
 # ===================================================================
@@ -68,7 +70,8 @@ class CohesionMatrix:
         if g.size:
             if not np.max(np.abs(g - g.T)) <= _AXIOM_TOL:
                 raise ValueError("symmetry axiom violated or non-finite entry")
-            if not np.max(np.abs(g.sum(axis=1))) <= _ROWSUM_TOL:
+            rowsum_tol = _ROWSUM_ULPS * g.shape[0] * np.finfo(float).eps * np.max(np.abs(g))
+            if not np.max(np.abs(g.sum(axis=1))) <= rowsum_tol:
                 raise ValueError("zero-row-sum axiom violated")
             diag = np.diag(g)
             if not np.min(diag[:, None] + diag[None, :] - 2.0 * g) >= -_AXIOM_TOL:
@@ -144,6 +147,10 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     Connected graphs only: L^+ = (L + sJ/n)^-1 - J/(sn) for any s > 0,
     with J the all-ones matrix (Klein and Randic 1993). s is the mean
     weighted degree, so the roundoff does not grow with the weights.
+    Subtracting J/(sn) is the double centering (I - J/n) X (I - J/n) of
+    X = (L + sJ/n)^-1, whose row means are exactly 1/(sn); centering the
+    symmetrized X by its computed row means instead leaves row sums at
+    summation roundoff, however ill-conditioned L is.
     """
     if g.n == 0:
         raise ValueError("empty graph has no Laplacian pseudo-inverse")
@@ -151,8 +158,13 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
         raise ValueError("Laplacian pseudo-inverse requires a connected graph")
     lap = laplacian(g)
     s = float(np.trace(lap)) / g.n or 1.0  # a lone node has L = [0]
-    gamma = np.linalg.inv(lap + s / g.n) - 1.0 / (s * g.n)
-    return CohesionMatrix(0.5 * (gamma + gamma.T))
+    x = np.linalg.inv(lap + s / g.n)
+    x = 0.5 * (x + x.T)
+    r = x.mean(axis=1)
+    # r_u + r_w adds in either order to the same bits, so x stays symmetric.
+    x -= r[:, None] + r[None, :]
+    x += r.mean()
+    return CohesionMatrix(x)
 
 
 def resistance_distance(g: Graph) -> SemiMetric:

@@ -6,8 +6,8 @@ decomposition (the default of ``top_k_eigen``, exact, and the faster
 route for whole spectra and small matrices) and a thick-restarted block
 Krylov iteration that touches the matrix only through block products,
 which is faster for a few leading pairs of a large matrix
-(``krylov_pays`` says when). Both routes meet the same residual
-contract.
+(``krylov_pays`` says when) and also runs on the matrix-free
+covariance operator. Both routes meet the same residual contract.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numpy as np
 from .errors import NumericalError
 
 if TYPE_CHECKING:
-    from .modularity import ModularityMatrix
+    from .modularity import CovarianceOperator, ModularityMatrix
+
+    Covariance = ModularityMatrix | CovarianceOperator
 
 _SIGN_TOL = 1e-12
 _RESIDUAL_BOUND = 1e-8
@@ -94,13 +96,16 @@ class Embedding:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first component above 1e-12 is positive."""
-    out = vectors.copy()
+    """Flip each column so its first component above 1e-12 is positive.
+
+    Exact zeros come out as +0.0 whichever way their column pointed.
+    """
+    out = vectors + 0.0
     for j in range(out.shape[1]):
         col = out[:, j]
         nonzero = np.flatnonzero(np.abs(col) > _SIGN_TOL)
         if nonzero.size and col[nonzero[0]] < 0:
-            out[:, j] = -col
+            out[:, j] = 0.0 - col
     return out
 
 
@@ -120,7 +125,7 @@ def _dense_top_k(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power_top_k(
-    m: np.ndarray, k: int, bound: float, max_iter: int
+    m: "np.ndarray | Covariance", n: int, k: int, bound: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Thick-restarted block Krylov iteration with Rayleigh-Ritz extraction.
 
@@ -137,7 +142,6 @@ def _power_top_k(
     number. The iteration stops once every wanted Ritz residual is at
     most ``bound``.
     """
-    n = m.shape[0]
     rng = np.random.default_rng(0x5EED)
     x = np.linalg.qr(rng.standard_normal((n, min(n, k + 2))))[0]
     mx = m @ x
@@ -187,7 +191,7 @@ def krylov_pays(k: int, n: int) -> bool:
 
 
 def top_k_eigen(
-    m: np.ndarray,
+    m: "np.ndarray | Covariance",
     k: int,
     tol: float = 1e-10,
     max_iter: int = 10000,
@@ -197,13 +201,17 @@ def top_k_eigen(
 
     Parameters
     ----------
-    m : (n, n) array
-        Symmetric input (asymmetry beyond 1e-12 is rejected).
+    m : (n, n) array, ModularityMatrix or CovarianceOperator
+        Symmetric input. An array is checked here (asymmetry beyond
+        1e-12 is rejected); the two covariance forms were checked, or
+        are symmetric by construction, and are used as they are. The
+        operator, which has no matrix, takes method="power" only.
     k : int
         Number of pairs, 1 <= k <= n.
     tol : float
         Residual tolerance for the iterative route, relative to
-        max(1, inf-norm of m).
+        max(1, inf-norm of m), where a covariance supplies the inf-norm
+        bound ``norm_bound``.
     max_iter : int
         Cap on the number of products of m with a block for the
         iterative route.
@@ -218,15 +226,20 @@ def top_k_eigen(
         If the iterative route fails to converge, or a returned pair
         violates the residual contract.
     """
-    m = _check_symmetric(m)
-    n = m.shape[0]
+    checked = hasattr(m, "norm_bound")  # a ModularityMatrix or CovarianceOperator
+    if not checked:
+        m = _check_symmetric(m)
+    n = m.n if checked else m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    scale = max(1.0, float(np.max(np.abs(m).sum(axis=1))))
+    scale = max(1.0, m.norm_bound if checked else float(np.max(np.abs(m).sum(axis=1))))
     if method == "dense":
-        values, vectors = _dense_top_k(m, k)
+        dense = getattr(m, "q", m)
+        if not isinstance(dense, np.ndarray):
+            raise ValueError("the dense method needs a matrix, not an operator")
+        values, vectors = _dense_top_k(dense, k)
     elif method == "power":
-        values, vectors = _power_top_k(m, k, tol * scale, max_iter)
+        values, vectors = _power_top_k(m, n, k, tol * scale, max_iter)
     else:
         raise ValueError(f"unknown eigensolver method {method!r}")
     vectors = _fix_signs(vectors)
@@ -283,7 +296,7 @@ def spectral_embedding(
     method: str = "dense",
 ) -> Embedding:
     """Embed nodes as rows of the top-K eigenvector matrix of Q."""
-    pairs = top_k_eigen(_as_matrix(q), k, tol=tol, max_iter=max_iter, method=method)
+    pairs = top_k_eigen(q, k, tol=tol, max_iter=max_iter, method=method)
     return Embedding(h=pairs.vectors)
 
 

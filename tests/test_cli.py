@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modembed import cli, edge_sampling, modularity_matrix, planted_partition, top_k_eigen
+from modembed import (
+    cli,
+    edge_sampling,
+    modularity_matrix,
+    planted_partition,
+    random_walk_sampling,
+    top_k_eigen,
+)
 from modembed.cli import main
 from modembed.evaluate import read_label_map
 from modembed.spectral import krylov_pays
@@ -487,6 +494,75 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
     calls = _record_eigen_calls(monkeypatch)
     assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
     assert calls == expected
+
+
+@pytest.mark.parametrize(
+    ("flags", "expected", "sample"),
+    [
+        ([], [("CovarianceOperator", 2, "power")], edge_sampling),
+        (["--sampler", "walk:3"], [("CovarianceOperator", 2, "power")],
+         lambda g: random_walk_sampling(g, 3)),
+        (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "power")],
+         lambda g: random_walk_sampling(g, 3, exact_length=True)),
+        (["--emit-spectrum"], [("ModularityMatrix", 600, "dense"), ("CovarianceOperator", 2, "power")],
+         edge_sampling),
+        (["--sampler", "expdist"], [("ModularityMatrix", 2, "power")], None),
+    ],
+    ids=["edge", "walk", "walk-exact", "edge-sidecar", "expdist"],
+)
+def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flags, expected, sample):
+    """A fixed --dim K on the Krylov route hands the edge and walk
+    covariances to the solver as the matrix-free operator, so no dense
+    adjacency is built unless a sidecar spectrum needs the dense Q;
+    expdist keeps its dense Q. The columns meet the residual contract
+    against the dense Q."""
+    g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
+    loaded, calls = [], []
+    load, solve = cli._load_graph, cli.top_k_eigen
+
+    def record_load(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    def record_solve(m, k, method="dense", **kwargs):
+        calls.append((type(m).__name__, k, method))
+        return solve(m, k, method=method, **kwargs)
+
+    monkeypatch.setattr(cli, "_load_graph", record_load)
+    monkeypatch.setattr(cli, "top_k_eigen", record_solve)
+    out = tmp_path / "emb.tsv"
+    argv = ["embed", graph_path, "--dim", "2", "--output", str(out), *flags]
+    if flags[-1:] == ["--emit-spectrum"]:
+        argv.append(str(tmp_path / "spec.tsv"))
+    assert main(argv) == 0
+    assert calls == expected
+    assert ("adjacency" in loaded[0].__dict__) == (expected[0][0] == "ModularityMatrix")
+    if sample is None:
+        return
+    q = modularity_matrix(sample(g)).q
+    _, body = read_table(out)
+    h = np.zeros((g.n, 2))
+    for name, *row in body:
+        h[g.index_of(name)] = [float(v) for v in row]
+    theta = np.einsum("ij,ij->j", h, q @ h)
+    assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= 1e-8
+    np.testing.assert_allclose(theta, top_k_eigen(q, 2).values, rtol=0, atol=1e-8)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is imported on the first sparse product, not at start-up."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = "import sys, modembed.cli; sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", check], env=dict(os.environ, PYTHONPATH=str(src)),
+                   check=True, timeout=120)
+
+
+def test_eigenmap_writes_no_negative_zero(tmp_path, barbell_file):
+    """An exact zero in a sign-flipped column prints as 0, not -0."""
+    out = tmp_path / "map.tsv"
+    assert main(["eigenmap", barbell_file, "--dim", "2", "--output", str(out)]) == 0
+    fields = [v for row in read_table(out)[1] for v in row[1:]]
+    assert "0" in fields and "-0" not in fields
 
 
 def test_krylov_pays_only_for_narrow_bases():

@@ -1,19 +1,26 @@
 """Modularity matrices, set covariance, partition and normalized scores."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modembed import (
+    CovarianceOperator,
+    Graph,
     ModularityMatrix,
     Partition,
     edge_sampling,
     is_community,
+    load_edge_list,
     modularity_matrix,
     normalized_modularity,
     partition_modularity,
+    planted_partition,
     random_walk_sampling,
     set_covariance,
     top_k_eigen,
+    walk_covariance,
 )
 
 from helpers import (
@@ -150,3 +157,70 @@ def test_modularity_matrix_validation():
     with pytest.raises(ValueError):
         ModularityMatrix(np.array([[0.0, 0.1], [-0.1, 0.0]]))
 
+
+_FIXTURES = {
+    "karate": lambda: load_edge_list((Path(__file__).parent / "data" / "karate.txt").read_text()),
+    "barbell": barbell,
+    "planted": lambda: planted_partition(3, 15, 0.6, 0.05, seed=2, ensure_connected=True)[0],
+    "weighted": lambda: random_connected_graph(np.random.default_rng(5), 40, weighted=True),
+}
+_SAMPLERS = {
+    "edge": (edge_sampling, CovarianceOperator),
+    **{
+        f"walk:{length}{'-exact' if exact else ''}": (
+            lambda g, length=length, exact=exact: random_walk_sampling(g, length, exact),
+            lambda g, length=length, exact=exact: walk_covariance(g, length, exact),
+        )
+        for length in (1, 3, 16)
+        for exact in (False, True)
+    },
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(_SAMPLERS))
+@pytest.mark.parametrize("fixture", sorted(_FIXTURES))
+def test_operator_matches_dense_product(fixture, sampler):
+    """The matrix-free Q agrees with the dense one on blocks and vectors.
+
+    The error is measured against the scale of the product,
+    norm_bound * max|X| >= |QX|, rather than against |QX| itself: for
+    long exact-length walks Q nearly cancels to zero, and the roundoff
+    left by cancelling terms of size p_u is then large relative to QX.
+    """
+    g = _FIXTURES[fixture]()
+    sample, operator = _SAMPLERS[sampler]
+    q, op = modularity_matrix(sample(g)), operator(g)
+    x = np.random.default_rng(11).standard_normal((g.n, 6))
+    scale = op.norm_bound * np.abs(x).max()
+    assert np.abs(op @ x - q.q @ x).max() <= 1e-12 * scale
+    assert (op @ x[:, 0]).shape == (g.n,)
+    np.testing.assert_array_equal(op @ x[:, 0], (op @ x[:, :1])[:, 0])
+    assert q.norm_bound <= op.norm_bound <= 1.0
+    assert op.n == q.n
+
+
+def test_operator_eigenpairs_match_dense():
+    """The Krylov route on the operator finds the dense top pairs and
+    builds no dense adjacency."""
+    g, _ = planted_partition(4, 30, 0.3, 0.01, seed=1, ensure_connected=True)
+    twin = Graph(g.n, g.edges, g.weights)
+    dense = top_k_eigen(modularity_matrix(edge_sampling(twin)), 3)
+    pairs = top_k_eigen(CovarianceOperator(g), 3, method="power")
+    np.testing.assert_allclose(pairs.values, dense.values, rtol=0, atol=1e-12)
+    assert np.abs(np.abs(pairs.vectors.T @ dense.vectors) - np.eye(3)).max() <= 1e-6
+    assert "adjacency" not in g.__dict__
+
+
+def test_operator_validation():
+    """The operators reject what their samplers reject, and no more."""
+    two_parts = Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
+    assert np.abs(CovarianceOperator(two_parts) @ np.ones(4)).max() <= 1e-12
+    with pytest.raises(ValueError, match="connected"):
+        walk_covariance(two_parts, 2)
+    with pytest.raises(ValueError, match="walk length"):
+        walk_covariance(triangle(), 17)
+    lone = Graph(n=1, edges=np.zeros((0, 2), dtype=int), weights=np.zeros(0))
+    with pytest.raises(ValueError, match="at least one edge"):
+        CovarianceOperator(lone)
+    with pytest.raises(ValueError, match="matrix"):
+        top_k_eigen(CovarianceOperator(triangle()), 1, method="dense")

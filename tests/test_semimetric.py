@@ -59,6 +59,18 @@ def test_cohesion_axiom_validation():
         CohesionMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))  # dominance violated
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_cohesion_row_sum_check_is_relative(scale):
+    """Row sums may be off by roundoff at the matrix's own scale, but not
+    by 1e-6 of it, whatever that scale is."""
+    gamma = laplacian_pinv(triangle()).gamma * scale
+    CohesionMatrix(gamma)
+    off = gamma.copy()
+    off[0, 0] += 1e-6 * np.abs(gamma).max()
+    with pytest.raises(ValueError, match="zero-row-sum"):
+        CohesionMatrix(off)
+
+
 def test_induce_cohesion_golden():
     d = SemiMetric(np.array([[0.0, 2.0], [2.0, 0.0]]))
     np.testing.assert_allclose(
@@ -166,11 +178,10 @@ def test_resistance_cohesion_is_twice_pinv():
     np.testing.assert_allclose(gamma, 2.0 * laplacian_pinv(g).gamma, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [100, 500])
+@pytest.mark.parametrize("n", [100, 500, 1000, 1700])
 def test_resistance_of_long_path(n):
-    """n - 1 unit resistors in series; the row sums of L+ stay within the
-    cohesion check's 1e-10 of zero (about 1e-13 at n = 100, 1e-11 at
-    n = 500; 4e-11 at n = 1000 leaves too thin a margin to pin)."""
+    """n - 1 unit resistors in series. The entries of L+ grow like n, so
+    their roundoff does too; the cohesion check scales with them."""
     r = resistance_distance(Graph.from_edges([(u, u + 1, 1.0) for u in range(n - 1)])).d
     assert r[0, n - 1] == pytest.approx(n - 1, rel=1e-9)
 
@@ -188,6 +199,24 @@ def test_resistance_under_large_weights(edges, pair, expected):
     neither break the zero-row-sum check nor cost relative accuracy."""
     r = resistance_distance(Graph.from_edges(edges)).d
     assert r[pair] == pytest.approx(expected, rel=1e-9)
+
+
+def test_resistance_under_small_weights():
+    """Light edges give large L+ entries, and the row-sum check scales
+    with them: a triangle whose edges all weigh 1e-6 has R = 2/3 * 1e6."""
+    r = resistance_distance(Graph.from_edges([(0, 1, 1e-6), (1, 2, 1e-6), (0, 2, 1e-6)])).d
+    np.testing.assert_allclose(r[np.triu_indices(3, 1)], 2 / 3 * 1e6, rtol=1e-12)
+
+
+def test_resistance_on_a_tree_with_weights_across_four_decades():
+    """On a tree, R between neighbours is the inverse edge weight. L is
+    ill-conditioned here; centering L+ by its computed row means keeps
+    its row sums at summation roundoff all the same."""
+    edges = [(0, 1), (0, 2), (0, 6), (1, 3), (1, 4), (1, 5), (1, 8), (2, 7), (7, 9)]
+    weights = [0.01171875, 0.01171875, 0.25, 0.01171875, 1.0, 1.0, 2.0, 9.0, 88.5]
+    g = Graph.from_edges([(u, w, x) for (u, w), x in zip(edges, weights)])
+    r = resistance_distance(g).d
+    np.testing.assert_allclose([r[e] for e in edges], 1 / np.array(weights), rtol=1e-10)
 
 
 def test_resistance_of_long_cycle():

@@ -1,0 +1,31 @@
+"""Property test: softmax sweeps never lower the objective."""
+
+import numpy as np
+import pytest
+
+from modembed import softmax_classify
+
+from helpers import random_zero_diag_symmetric
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.given(
+    n=st.integers(2, 20),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([None, 1e-3, 1.0]),
+    clamp=st.booleans(),
+)
+def test_sweeps_never_lower_the_objective(n, k, seed, scale, clamp):
+    """On a random symmetric zero-diagonal q, with or without rows clamped
+    to labels, every sweep keeps the objective within 1e-12 * max(1, |obj|)
+    of the one before."""
+    rng = np.random.default_rng(seed)
+    q = random_zero_diag_symmetric(rng, n, scale)
+    labeled = np.flatnonzero(rng.random(n) < 0.3) if clamp else []
+    labels = {int(u): int(rng.integers(k)) for u in labeled}
+    history = softmax_classify(q, labels, k, seed=seed, max_sweeps=6, tol=0.0).history
+    slack = 1e-12 * np.maximum(1.0, np.abs(history[1:]))
+    assert np.all(np.diff(history) >= -slack)

@@ -6,6 +6,7 @@ import pytest
 from modembed import (
     EigenPairs,
     Embedding,
+    CovarianceOperator,
     NumericalError,
     edge_sampling,
     frobenius_objective,
@@ -17,6 +18,7 @@ from modembed import (
     top_k_eigen,
     weighted_distance_objective,
 )
+from modembed import spectral
 
 from helpers import (
     barbell,
@@ -110,6 +112,26 @@ def test_power_route_reports_non_convergence():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         top_k_eigen(np.eye(2), 1, method="lanczos")
+
+
+def test_checked_covariances_skip_the_symmetry_check(monkeypatch):
+    """A ModularityMatrix was checked when it was built and the operator
+    is symmetric by construction, so only raw arrays are checked again;
+    the dense result is the same bytes either way."""
+    g = random_connected_graph(np.random.default_rng(23), 30)
+    q = _q(g)
+    raw = top_k_eigen(q.q, 3)
+
+    def refuse(m):
+        raise AssertionError("symmetry checked again")
+
+    monkeypatch.setattr(spectral, "_check_symmetric", refuse)
+    checked = top_k_eigen(q, 3)
+    assert checked.vectors.tobytes() == raw.vectors.tobytes()
+    top_k_eigen(q, 3, method="power")
+    top_k_eigen(CovarianceOperator(g), 3, method="power")
+    with pytest.raises(AssertionError, match="checked again"):
+        top_k_eigen(q.q, 3)
 
 
 def test_determinism_bit_identical():
