@@ -25,6 +25,7 @@ from .errors import FormatError, NumericalError
 from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
 from .graph import Graph, load_edge_list
 from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix, walk_covariance
+# Unused here; the benchmark tracer looks up edge/random_walk_sampling in this module.
 from .sampling import (
     MAX_WALK_LENGTH,
     edge_sampling,
@@ -80,6 +81,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = _finite(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text!r}")
+    return value
+
+
 def _sweeps(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -87,9 +95,22 @@ def _sweeps(text: str) -> int:
     return value
 
 
+def _sampler(text: str) -> tuple[str, int]:
+    """``--sampler`` value: (kind, walk length), the length 0 unless a walk."""
+    if text in ("edge", "expdist"):
+        return text, 0
+    if not text.startswith("walk:"):
+        raise argparse.ArgumentTypeError(f"expected edge, walk:L or expdist, got {text!r}")
+    length = int(text[len("walk:"):])
+    if not 1 <= length <= MAX_WALK_LENGTH:
+        raise argparse.ArgumentTypeError(f"walk length must be in 1..{MAX_WALK_LENGTH}")
+    return "walk", length
+
+
 def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sampler",
+        type=_sampler,
         default="edge",
         help="edge | walk:L | expdist (default: edge)",
     )
@@ -104,22 +125,6 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="walk sampler: use walks of exactly length L instead of the 1..L mixture",
     )
-
-
-def _parse_sampler(spec: str) -> tuple[str, int]:
-    if spec == "edge":
-        return "edge", 0
-    if spec == "expdist":
-        return "expdist", 0
-    if spec.startswith("walk:"):
-        try:
-            length = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise _UsageError(f"bad walk length in sampler spec {spec!r}") from None
-        if not 1 <= length <= MAX_WALK_LENGTH:
-            raise _UsageError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {length}")
-        return "walk", length
-    raise _UsageError(f"unknown sampler {spec!r} (expected edge, walk:L, or expdist)")
 
 
 def _stage_seed(seed: int, tag: str) -> int:
@@ -137,33 +142,23 @@ def _load_graph(path: str) -> Graph:
         return load_edge_list(fh)
 
 
-def _covariance(
-    args: argparse.Namespace, g: Graph, matrix_free: bool = False
-) -> ModularityMatrix | CovarianceOperator:
+def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | CovarianceOperator:
     """Q of the pair distribution the ``--sampler`` flags draw from g.
 
-    ``matrix_free`` asks for the operator form, which the edge and walk
-    samplers have; expdist always gives the dense matrix.
+    The edge and walk samplers give the matrix-free operator, which
+    forms its dense ``q`` only when a dense solve or the softmax ascent
+    reads it; expdist gives the dense matrix.
     """
-    kind, length = _parse_sampler(args.sampler)
+    kind, length = args.sampler
     if kind == "edge":
-        if matrix_free:
-            return CovarianceOperator(g)
-        sampled = edge_sampling(g)
-    elif kind == "walk":
-        if matrix_free:
-            return walk_covariance(g, length, exact_length=args.exact_length)
-        sampled = random_walk_sampling(g, length, exact_length=args.exact_length)
-    else:
-        sampled = exp_distance_sampling(resistance_distance(g), theta=args.theta)
-    return modularity_matrix(sampled)
+        return CovarianceOperator(g)
+    if kind == "walk":
+        return walk_covariance(g, length, exact_length=args.exact_length)
+    return modularity_matrix(exp_distance_sampling(resistance_distance(g), theta=args.theta))
 
 
 def _eigen(
-    args: argparse.Namespace,
-    g: Graph,
-    q: ModularityMatrix | None = None,
-    vectors: bool = True,
+    args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator, vectors: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
     """Spectrum of Q, the n x k coordinates the command writes, and k.
 
@@ -171,32 +166,25 @@ def _eigen(
     an ``--emit-spectrum`` sidecar needs it; the values are None
     otherwise. A fixed ``--dim k`` for which ``krylov_pays(k, n)``
     holds gets its columns from one Krylov call for exactly k pairs,
-    sidecar or not, on the matrix-free operator for the edge and walk
-    samplers; they agree with the dense ones to the residual contract,
-    not bit for bit. Otherwise the columns come from the dense solve:
-    the whole-spectrum one if it ran, else one for k pairs, which gives
-    the same bytes. The dense Q is ``q`` if given, else built on first
-    need. ``vectors=False`` skips the k-pair call, so a fixed k then
-    comes with no coordinates.
+    sidecar or not, which on the edge and walk operators forms no
+    dense Q; they agree with the dense ones to the residual
+    contract, not bit for bit. Otherwise the columns come from the
+    dense solve: the whole-spectrum one if it ran, else one for k
+    pairs, which gives the same bytes. ``vectors=False`` skips the
+    k-pair call, so a fixed k then comes with no coordinates.
     """
     k = args.dim
-    if k is not None and k > g.n:
-        raise _UsageError(f"--dim {k} exceeds the node count {g.n}")
-    krylov = k is not None and krylov_pays(k, g.n)
+    if k is not None and k > q.n:
+        raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
+    krylov = k is not None and krylov_pays(k, q.n)
     values = h = None
     if k is None or args.emit_spectrum:
-        if q is None:
-            q = _covariance(args, g)
-        pairs = top_k_eigen(q, g.n)
+        pairs = top_k_eigen(q, q.n)
         values = pairs.values
-        k = k or select_dimension(values, g.n)
+        k = k or select_dimension(values, q.n)
         if not krylov:
             h = pairs.vectors[:, :k]
     if h is None and vectors:
-        if krylov and args.sampler != "expdist":
-            q = _covariance(args, g, matrix_free=True)
-        elif q is None:
-            q = _covariance(args, g)
         h = top_k_eigen(q, k, method="power" if krylov else "dense").vectors
     return values, h, k
 
@@ -241,7 +229,7 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    # The graph, with any dense adjacency cached on it, is dropped before the solve.
+    # For expdist, the graph and its dense adjacency are dropped before the solve.
     q = _covariance(args, _load_graph(args.graph))
     values = top_k_eigen(q, q.n).values
     _write_tsv(args.output, _spectrum_rows(values, select_dimension(values, q.n)))
@@ -250,7 +238,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    values, h, k = _eigen(args, g)
+    values, h, k = _eigen(args, _covariance(args, g))
     _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
@@ -288,7 +276,7 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     q = _covariance(args, g)
-    _, _, k = _eigen(args, g, q, vectors=False)
+    _, _, k = _eigen(args, q, vectors=False)
     result = softmax_cluster(
         q.q,
         max(2, k) if args.dim is None else k,
@@ -307,7 +295,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     dataset, _ = load_labels(args.labels, g)
-    values, h, k = _eigen(args, g)
+    values, h, k = _eigen(args, _covariance(args, g))
     recomposed = zero_diagonal(reconstruct(Embedding(h=h)))
     label_map, holdout = train_test_split(
         dataset,
@@ -427,7 +415,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("labels", help="ground-truth label file")
     common(p)
-    p.add_argument("--train-fraction", type=float, default=0.1)
+    p.add_argument("--train-fraction", type=_fraction, default=0.1)
     p.add_argument("--unstratified", action="store_true", help="split without class stratification")
     softmax(p)
     p.add_argument("--emit-spectrum", default=None)

@@ -6,11 +6,12 @@ from the marginals would suggest. Summed over blocks of a partition it
 generalizes Newman's modularity, which is the special case of edge
 sampling.
 
-Q comes in two forms with the same interface (``n``, ``Q @ X`` and an
-upper bound ``norm_bound`` on the largest absolute row sum): the dense
-:class:`ModularityMatrix` of any sampled graph, which is the oracle,
-and the matrix-free :class:`CovarianceOperator` of the edge and walk
-samplers, which touches only the graph's edges and degrees.
+Q comes in two forms with the same interface (``n``, ``Q @ X``, an
+upper bound ``norm_bound`` on the largest absolute row sum and the
+dense matrix ``q``): the :class:`ModularityMatrix` of any sampled
+graph, which is the oracle, and the :class:`CovarianceOperator` of the
+edge and walk samplers, which touches only the graph's edges and
+degrees and forms its ``q`` only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class CovarianceOperator:
     the walk mixture is the co-occurrence matrix NetMF factorizes (Qiu
     et al. 2018), and :func:`walk_covariance` builds it with the checks
     of :func:`~modembed.sampling.random_walk_sampling`. Each product costs L sparse products,
-    O(L m) per column; no n x n array is formed. Symmetry holds by
-    construction, and every row sum is at most 2 max p_u in absolute
-    value, which is ``norm_bound``.
+    O(L m) per column; no n x n array is formed until ``q`` is read.
+    Symmetry holds by construction, and every row sum is at most
+    2 max p_u in absolute value, which is ``norm_bound``.
     """
 
     graph: Graph
@@ -100,6 +101,15 @@ class CovarianceOperator:
     @property
     def norm_bound(self) -> float:
         return 2.0 * float(self.p_u.max())
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Dense Q, formed on first use; averaging with Q^T drops walk-product roundoff."""
+        q = self @ np.eye(self.n)
+        if self.length > 1:  # one sparse product of the identity is exactly symmetric
+            q += q.T
+            q *= 0.5
+        return q
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -205,7 +205,8 @@ def top_k_eigen(
         Symmetric input. An array is checked here (asymmetry beyond
         1e-12 is rejected); the two covariance forms were checked, or
         are symmetric by construction, and are used as they are. The
-        operator, which has no matrix, takes method="power" only.
+        dense method decomposes a covariance's dense ``q``, which the
+        operator forms on first use.
     k : int
         Number of pairs, 1 <= k <= n.
     tol : float
@@ -234,10 +235,8 @@ def top_k_eigen(
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     scale = max(1.0, m.norm_bound if checked else float(np.max(np.abs(m).sum(axis=1))))
     if method == "dense":
-        dense = getattr(m, "q", m)
-        if not isinstance(dense, np.ndarray):
-            raise ValueError("the dense method needs a matrix, not an operator")
-        values, vectors = _dense_top_k(dense, k)
+        m = getattr(m, "q", m)
+        values, vectors = _dense_top_k(m, k)
     elif method == "power":
         values, vectors = _power_top_k(m, n, k, tol * scale, max_iter)
     else:

@@ -334,11 +334,19 @@ def test_usage_errors_exit_one(tmp_path, path3_file):
         ["pca", "--seed", "1"],
         ["pca", "--tol", "1"],
         ["eval", "pred.txt", "--seed", "1"],
+        *(["classify", "labels.txt", "--train-fraction", v] for v in ("1.5", "0", "nan")),
     ],
 )
 def test_bad_flag_values_exit_one(tmp_path, path3_file, flags):
     out = tmp_path / "x.tsv"
     assert main([flags[0], path3_file, *flags[1:], "--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_bad_sampler_is_rejected_before_reading_the_graph(tmp_path):
+    out = tmp_path / "x.tsv"
+    argv = ["embed", str(tmp_path / "missing.txt"), "--sampler", "bogus", "--output", str(out)]
+    assert main(argv) == 1
     assert not out.exists()
 
 
@@ -450,6 +458,19 @@ def _record_eigen_calls(monkeypatch):
     return calls
 
 
+def _record_loads(monkeypatch):
+    """Replace cli._load_graph with a pass-through that keeps each graph."""
+    loaded = []
+    load = cli._load_graph
+
+    def record(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_graph", record)
+    return loaded
+
+
 def _write_large_planted(tmp_path, blocks, size):
     """A connected planted partition big enough for the Krylov route."""
     g, dataset = planted_partition(blocks, size, 0.2, 0.005, seed=0, ensure_connected=True)
@@ -504,7 +525,8 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
          lambda g: random_walk_sampling(g, 3)),
         (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "power")],
          lambda g: random_walk_sampling(g, 3, exact_length=True)),
-        (["--emit-spectrum"], [("ModularityMatrix", 600, "dense"), ("CovarianceOperator", 2, "power")],
+        (["--emit-spectrum"],
+         [("CovarianceOperator", 600, "dense"), ("CovarianceOperator", 2, "power")],
          edge_sampling),
         (["--sampler", "expdist"], [("ModularityMatrix", 2, "power")], None),
     ],
@@ -512,23 +534,17 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
 )
 def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flags, expected, sample):
     """A fixed --dim K on the Krylov route hands the edge and walk
-    covariances to the solver as the matrix-free operator, so no dense
-    adjacency is built unless a sidecar spectrum needs the dense Q;
-    expdist keeps its dense Q. The columns meet the residual contract
-    against the dense Q."""
+    covariances to the solver as the matrix-free operator, which a
+    sidecar spectrum decomposes through its dense q; expdist keeps its
+    dense Q. The columns meet the residual contract against the dense Q."""
     g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
-    loaded, calls = [], []
-    load, solve = cli._load_graph, cli.top_k_eigen
-
-    def record_load(path):
-        loaded.append(load(path))
-        return loaded[-1]
+    loaded, calls = _record_loads(monkeypatch), []
+    solve = cli.top_k_eigen
 
     def record_solve(m, k, method="dense", **kwargs):
         calls.append((type(m).__name__, k, method))
         return solve(m, k, method=method, **kwargs)
 
-    monkeypatch.setattr(cli, "_load_graph", record_load)
     monkeypatch.setattr(cli, "top_k_eigen", record_solve)
     out = tmp_path / "emb.tsv"
     argv = ["embed", graph_path, "--dim", "2", "--output", str(out), *flags]
@@ -536,7 +552,8 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
         argv.append(str(tmp_path / "spec.tsv"))
     assert main(argv) == 0
     assert calls == expected
-    assert ("adjacency" in loaded[0].__dict__) == (expected[0][0] == "ModularityMatrix")
+    # No edge or walk run builds the dense adjacency; expdist's Laplacian does.
+    assert ("adjacency" in loaded[0].__dict__) == (sample is None)
     if sample is None:
         return
     q = modularity_matrix(sample(g)).q
@@ -547,6 +564,22 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
     theta = np.einsum("ij,ij->j", h, q @ h)
     assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= 1e-8
     np.testing.assert_allclose(theta, top_k_eigen(q, 2).values, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("sampler", ["edge", "walk:3"])
+@pytest.mark.parametrize(
+    "flags",
+    [["spectrum"], ["embed", "--dim", "auto"], ["cluster"]],
+    ids=["spectrum", "embed-auto", "cluster"],
+)
+def test_edge_and_walk_commands_build_no_dense_adjacency(tmp_path, monkeypatch, flags, sampler):
+    """Commands that need the dense Q form it from the operator, not
+    from A and p."""
+    graph_path, _ = _write_planted(tmp_path)
+    loaded = _record_loads(monkeypatch)
+    argv = [flags[0], graph_path, *flags[1:], "--sampler", sampler]
+    assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
+    assert "adjacency" not in loaded[0].__dict__
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

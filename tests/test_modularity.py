@@ -197,6 +197,8 @@ def test_operator_matches_dense_product(fixture, sampler):
     np.testing.assert_array_equal(op @ x[:, 0], (op @ x[:, :1])[:, 0])
     assert q.norm_bound <= op.norm_bound <= 1.0
     assert op.n == q.n
+    np.testing.assert_array_equal(op.q, op.q.T)
+    assert np.abs(op.q - q.q).max() <= 1e-12 * op.norm_bound
 
 
 def test_operator_eigenpairs_match_dense():
@@ -222,5 +224,7 @@ def test_operator_validation():
     lone = Graph(n=1, edges=np.zeros((0, 2), dtype=int), weights=np.zeros(0))
     with pytest.raises(ValueError, match="at least one edge"):
         CovarianceOperator(lone)
-    with pytest.raises(ValueError, match="matrix"):
-        top_k_eigen(CovarianceOperator(triangle()), 1, method="dense")
+    g = barbell()
+    dense = top_k_eigen(modularity_matrix(edge_sampling(g)), 3)
+    on_operator = top_k_eigen(CovarianceOperator(g), 3, method="dense")
+    np.testing.assert_allclose(on_operator.values, dense.values, rtol=0, atol=1e-12)
