@@ -25,7 +25,7 @@ from .errors import FormatError, NumericalError
 from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
 from .graph import Graph, load_edge_list
 from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix, walk_covariance
-# Unused here; the benchmark tracer looks up edge/random_walk_sampling in this module.
+# edge/random_walk_sampling and zero_diagonal are unused here; the benchmark tracer looks them up.
 from .sampling import (
     MAX_WALK_LENGTH,
     edge_sampling,
@@ -137,9 +137,14 @@ def _stage_seed(seed: int, tag: str) -> int:
 # ===================================================================
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return load_edge_list(fh)
+def _load_graph(args: argparse.Namespace) -> Graph:
+    """The ``graph`` file, with a fixed ``--dim`` checked against its node
+    count before any sampler or solver runs."""
+    with open(args.graph) as fh:
+        g = load_edge_list(fh)
+    if args.dim is not None and args.dim > g.n:
+        raise _UsageError(f"--dim {args.dim} exceeds the node count {g.n}")
+    return g
 
 
 def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | CovarianceOperator:
@@ -158,8 +163,8 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
 
 
 def _eigen(
-    args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator, vectors: bool = True
-) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator
+) -> tuple[np.ndarray | None, np.ndarray, int]:
     """Spectrum of Q, the n x k coordinates the command writes, and k.
 
     The whole spectrum is computed, densely, only when ``--dim auto`` or
@@ -170,12 +175,10 @@ def _eigen(
     dense Q; they agree with the dense ones to the residual
     contract, not bit for bit. Otherwise the columns come from the
     dense solve: the whole-spectrum one if it ran, else one for k
-    pairs, which gives the same bytes. ``vectors=False`` skips the
-    k-pair call, so a fixed k then comes with no coordinates.
+    pairs, which gives the same bytes. ``k <= n`` holds already: it
+    was checked where the graph was read.
     """
     k = args.dim
-    if k is not None and k > q.n:
-        raise _UsageError(f"--dim {k} exceeds the node count {q.n}")
     krylov = k is not None and krylov_pays(k, q.n)
     values = h = None
     if k is None or args.emit_spectrum:
@@ -184,7 +187,7 @@ def _eigen(
         k = k or select_dimension(values, q.n)
         if not krylov:
             h = pairs.vectors[:, :k]
-    if h is None and vectors:
+    if h is None:
         h = top_k_eigen(q, k, method="power" if krylov else "dense").vectors
     return values, h, k
 
@@ -229,15 +232,14 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    # For expdist, the graph and its dense adjacency are dropped before the solve.
-    q = _covariance(args, _load_graph(args.graph))
-    values = top_k_eigen(q, q.n).values
-    _write_tsv(args.output, _spectrum_rows(values, select_dimension(values, q.n)))
+    g = _load_graph(args)
+    values, _, k = _eigen(args, _covariance(args, g))
+    _write_tsv(args.output, _spectrum_rows(values, k))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
     values, h, k = _eigen(args, _covariance(args, g))
     _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
@@ -248,9 +250,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_eigenmap(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    if args.dim is None:
-        raise _UsageError("eigenmap needs a fixed --dim")
+    g = _load_graph(args)
+    if args.dim is None or args.dim >= g.n:
+        raise _UsageError(f"eigenmap needs a fixed --dim below the node count {g.n}")
     emb = _eigenmap(g, args.dim)
     _write_tsv(args.output, _embedding_rows(g.ids, emb.h))
     if args.id_map:
@@ -261,25 +263,21 @@ def _cmd_eigenmap(args: argparse.Namespace) -> int:
 def _cmd_pca(args: argparse.Namespace) -> int:
     data, names = load_points(args.data, id_column=args.id_column)
     n = data.x.shape[0]
-    emb, scales = pca_embedding(data, n)
-    if args.dim is None:
-        k = select_dimension(scales**2, n) if n >= 2 else 1
-    elif args.dim > n:
+    if args.dim is not None and args.dim > n:
         raise _UsageError(f"--dim {args.dim} exceeds the point count {n}")
-    else:
-        k = args.dim
+    emb, scales = pca_embedding(data, n)
+    k = args.dim or (select_dimension(scales**2, n) if n >= 2 else 1)
     h = emb.h[:, :k]
     _write_tsv(args.output, _embedding_rows(names, h * scales[:k] if args.scaled else h))
     return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
     q = _covariance(args, g)
-    _, _, k = _eigen(args, q, vectors=False)
     result = softmax_cluster(
         q.q,
-        max(2, k) if args.dim is None else k,
+        args.dim or max(2, _eigen(args, q)[2]),
         seed=_stage_seed(args.seed, "softmax"),
         max_sweeps=args.max_sweeps,
         tol=args.tol,
@@ -293,10 +291,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
     dataset, _ = load_labels(args.labels, g)
     values, h, k = _eigen(args, _covariance(args, g))
-    recomposed = zero_diagonal(reconstruct(Embedding(h=h)))
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,
@@ -304,7 +301,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         stratified=not args.unstratified,
     )
     result = softmax_classify(
-        recomposed,
+        reconstruct(Embedding(h=h)),
         label_map,
         dataset.n_classes,
         seed=_stage_seed(args.seed, "softmax"),
@@ -359,8 +356,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modembed", description=__doc__)
-    # What _eigen reads on commands without these flags: spectrum always
-    # picks its k, and cluster writes no spectrum sidecar.
+    # What _load_graph and _eigen read on commands without these flags:
+    # spectrum always picks its k, and cluster writes no spectrum sidecar.
     parser.set_defaults(dim=None, emit_spectrum=None)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,7 +5,7 @@ A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 one positive weight per pair. The dense adjacency matrix and the degree
 vector are derived from them on first use. The dense adjacency is what
 the samplers consume; the sparse one (scipy CSR) feeds the matrix-free
-covariance, which never forms an n x n array.
+covariance, and :func:`laplacian` is built from the edges directly.
 """
 
 from __future__ import annotations
@@ -220,14 +220,18 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian D - A.
+    """Combinatorial Laplacian D - A, built from the edge arrays.
 
     Row sums vanish exactly for integer weights and to within roundoff
     otherwise, because the diagonal is built from the same row sums it
-    cancels against.
+    cancels against. Negation commutes with rounding, so the bits are
+    those of diag(A 1) - A, without reading or caching ``g.adjacency``.
     """
-    a = g.adjacency
-    return np.diag(a.sum(axis=1)) - a
+    lap = np.zeros((g.n, g.n))
+    u, w = g.edges.T
+    lap[u, w] = lap[w, u] = -g.weights
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
 
 
 def connected_components(edges: np.ndarray, n: int) -> np.ndarray:

@@ -65,7 +65,7 @@ class CovarianceOperator:
     With A the adjacency, D the degrees, 2m their total and
     p_u = D1/2m the stationary distribution,
 
-        QX = (1/L) sum_{t=1..L} (1/2m) A (D^-1 A)^(t-1) X - p_u (p_u^T X),
+        QX = (1/L) sum_{t=1..L} (1/2m) (A D^-1)^(t-1) AX - p_u (p_u^T X),
 
     or only the t = L term with ``exact_length``. L = 1, the default, is
     the Q of :func:`~modembed.sampling.edge_sampling`, Newman's
@@ -104,9 +104,10 @@ class CovarianceOperator:
 
     @cached_property
     def q(self) -> np.ndarray:
-        """Dense Q, formed on first use; averaging with Q^T drops walk-product roundoff."""
-        q = self @ np.eye(self.n)
-        if self.length > 1:  # one sparse product of the identity is exactly symmetric
+        """Dense Q, formed on first use from A itself, not from A times the
+        identity; averaging with Q^T drops walk-product roundoff."""
+        q = self._apply(self.graph.sparse_adjacency.toarray(), self.p_u)
+        if self.length > 1:  # A / 2m - p_u p_u^T alone is exactly symmetric
             q += q.T
             q *= 0.5
         return q
@@ -114,15 +115,19 @@ class CovarianceOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         block = x.reshape(self.n, -1)
-        g = self.graph
-        a = g.sparse_adjacency
-        step = total = block
-        for _ in range(self.length - 1):
-            step = (a @ step) / g.degrees[:, None]
-            total = step if self.exact_length else total + step
-        terms = 1 if self.exact_length else self.length
-        q_x = (a @ total) / (terms * g.total_weight) - np.outer(self.p_u, self.p_u @ block)
+        q_x = self._apply(self.graph.sparse_adjacency @ block, self.p_u @ block)
         return q_x.reshape(x.shape)
+
+    def _apply(self, a_x: np.ndarray, pu_x: np.ndarray) -> np.ndarray:
+        """QX from AX and p_u^T X; overwrites ``a_x`` when L = 1."""
+        g = self.graph
+        step = total = a_x
+        for _ in range(self.length - 1):
+            step = g.sparse_adjacency @ (step / g.degrees[:, None])
+            total = step if self.exact_length else total + step
+        total /= (1 if self.exact_length else self.length) * g.total_weight
+        total -= np.outer(self.p_u, pu_x)
+        return total
 
 
 def walk_covariance(g: Graph, length: int, exact_length: bool = False) -> CovarianceOperator:

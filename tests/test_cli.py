@@ -109,14 +109,34 @@ def test_embed_auto_dim_and_spectrum_sidecar(tmp_path, barbell_file):
     assert ids.read_text().startswith("a\t0\nb\t1\n")
 
 
-def test_embed_dim_too_large_is_usage_error(tmp_path, path3_file):
+def _dim_too_large_cases(tmp_path, monkeypatch, path3_file):
+    """(graph, sampler) pairs whose --dim check must come before any
+    sampler: cli._covariance is replaced by one that fails the test."""
+
+    def no_covariance(args, g):
+        raise AssertionError("the covariance was built before --dim was checked")
+
+    monkeypatch.setattr(cli, "_covariance", no_covariance)
+    two_parts = tmp_path / "two_parts.txt"
+    two_parts.write_text("a b\nc d\n")
+    return [(path3_file, sampler) for sampler in ("edge", "expdist", "walk:2")] + [
+        (str(two_parts), "walk:2")
+    ]
+
+
+def test_embed_dim_too_large_is_usage_error(tmp_path, monkeypatch, path3_file):
     out = tmp_path / "emb.tsv"
-    assert main(["embed", path3_file, "--dim", "99", "--output", str(out)]) == 1
+    for graph, sampler in _dim_too_large_cases(tmp_path, monkeypatch, path3_file):
+        argv = ["embed", graph, "--dim", "99", "--sampler", sampler, "--output", str(out)]
+        assert main(argv) == 1, sampler
 
 
-def test_cluster_dim_too_large_is_usage_error(tmp_path, path3_file):
+def test_cluster_dim_too_large_is_usage_error(tmp_path, monkeypatch, path3_file):
     out = tmp_path / "clusters.tsv"
     assert main(["cluster", path3_file, "--dim", "9", "--output", str(out)]) == 1
+    for graph, sampler in _dim_too_large_cases(tmp_path, monkeypatch, path3_file):
+        argv = ["cluster", graph, "--dim", "99", "--sampler", sampler, "--output", str(out)]
+        assert main(argv) == 1, sampler
     assert not out.exists()
 
 
@@ -149,7 +169,21 @@ def test_eigenmap_path3(tmp_path, path3_file):
 
 
 def test_eigenmap_requires_fixed_dim(tmp_path, path3_file):
-    assert main(["eigenmap", path3_file, "--output", str(tmp_path / "x.tsv")]) == 1
+    """--dim auto, and a --dim of n or more: the constant eigenvector is dropped."""
+    for dim in ([], ["--dim", "3"], ["--dim", "5"]):
+        assert main(["eigenmap", path3_file, *dim, "--output", str(tmp_path / "x.tsv")]) == 1
+
+
+def test_pca_dim_too_large_is_usage_error(tmp_path, monkeypatch):
+    """The point count is checked before the decomposition runs."""
+
+    def no_decomposition(data, k):
+        raise AssertionError("pca_embedding ran before --dim was checked")
+
+    monkeypatch.setattr(cli, "pca_embedding", no_decomposition)
+    data = tmp_path / "points.csv"
+    data.write_text("-1,0\n1,0\n")
+    assert main(["pca", str(data), "--dim", "3", "--output", str(tmp_path / "pca.tsv")]) == 1
 
 
 def test_pca_scaled_scores(tmp_path):
@@ -463,8 +497,8 @@ def _record_loads(monkeypatch):
     loaded = []
     load = cli._load_graph
 
-    def record(path):
-        loaded.append(load(path))
+    def record(args):
+        loaded.append(load(args))
         return loaded[-1]
 
     monkeypatch.setattr(cli, "_load_graph", record)
@@ -552,8 +586,8 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
         argv.append(str(tmp_path / "spec.tsv"))
     assert main(argv) == 0
     assert calls == expected
-    # No edge or walk run builds the dense adjacency; expdist's Laplacian does.
-    assert ("adjacency" in loaded[0].__dict__) == (sample is None)
+    # No run builds the dense adjacency; expdist's Laplacian reads the edge arrays.
+    assert "adjacency" not in loaded[0].__dict__
     if sample is None:
         return
     q = modularity_matrix(sample(g)).q
@@ -566,7 +600,7 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
     np.testing.assert_allclose(theta, top_k_eigen(q, 2).values, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("sampler", ["edge", "walk:3"])
+@pytest.mark.parametrize("sampler", ["edge", "walk:3", "expdist"])
 @pytest.mark.parametrize(
     "flags",
     [["spectrum"], ["embed", "--dim", "auto"], ["cluster"]],
@@ -574,11 +608,19 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
 )
 def test_edge_and_walk_commands_build_no_dense_adjacency(tmp_path, monkeypatch, flags, sampler):
     """Commands that need the dense Q form it from the operator, not
-    from A and p."""
+    from A and p, and expdist's Laplacian comes from the edge arrays:
+    no command caches an n x n adjacency on its graph."""
     graph_path, _ = _write_planted(tmp_path)
     loaded = _record_loads(monkeypatch)
     argv = [flags[0], graph_path, *flags[1:], "--sampler", sampler]
     assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
+    assert "adjacency" not in loaded[0].__dict__
+
+
+def test_eigenmap_builds_no_dense_adjacency(tmp_path, monkeypatch):
+    graph_path, _ = _write_planted(tmp_path)
+    loaded = _record_loads(monkeypatch)
+    assert main(["eigenmap", graph_path, "--dim", "2", "--output", str(tmp_path / "out.tsv")]) == 0
     assert "adjacency" not in loaded[0].__dict__
 
 

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_laplacian_triangle():
     lap = laplacian(triangle())
     np.testing.assert_array_equal(np.diag(lap), [2.0, 2.0, 2.0])
     assert lap[0, 1] == -1.0
+
+
+def test_laplacian_is_bitwise_degree_minus_adjacency():
+    """Built from the edge arrays, L has the bits of diag(A 1) - A and
+    leaves no dense adjacency cached on the graph."""
+    karate = load_edge_list((Path(__file__).parent / "data" / "karate.txt").read_text())
+    weighted = random_connected_graph(np.random.default_rng(3), 50, weighted=True)
+    for g in (path3(), triangle(), karate, weighted):
+        lap = laplacian(g)
+        assert "adjacency" not in g.__dict__
+        a = g.adjacency
+        assert lap.tobytes() == (np.diag(a.sum(axis=1)) - a).tobytes()
 
 
 def test_laplacian_rows_sum_to_zero():

@@ -199,6 +199,8 @@ def test_operator_matches_dense_product(fixture, sampler):
     assert op.n == q.n
     np.testing.assert_array_equal(op.q, op.q.T)
     assert np.abs(op.q - q.q).max() <= 1e-12 * op.norm_bound
+    if op.length == 1:  # q read off A has the bits of the product with the identity
+        np.testing.assert_array_equal(op.q, op @ np.eye(g.n))
 
 
 def test_operator_eigenpairs_match_dense():

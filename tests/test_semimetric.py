@@ -262,6 +262,15 @@ def test_eigenmap_bounds_and_connectivity():
         eigenmap_embedding(Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)]), 1)
 
 
+def test_laplacian_bridges_cache_no_dense_adjacency():
+    """Resistance distances and eigenmaps read the Laplacian, which is
+    built from the edges, so the graph keeps no n x n array."""
+    g = random_connected_graph(np.random.default_rng(13), 30, weighted=True)
+    resistance_distance(g)
+    eigenmap_embedding(g, 3)
+    assert "adjacency" not in g.__dict__
+
+
 def test_eigenmap_spans_top_pinv_eigenspace():
     g = random_connected_graph(np.random.default_rng(73), 15)
     emb = eigenmap_embedding(g, 3)
