@@ -170,9 +170,9 @@ def _eigen(
     The whole spectrum is computed, densely, only when ``--dim auto`` or
     an ``--emit-spectrum`` sidecar needs it; the values are None
     otherwise. A fixed ``--dim k`` for which ``krylov_pays(k, n)``
-    holds gets its columns from one Krylov call for exactly k pairs,
-    sidecar or not, which on the edge and walk operators forms no
-    dense Q; they agree with the dense ones to the residual
+    holds gets its columns from one ARPACK Lanczos call for exactly k
+    pairs, sidecar or not, which on the edge and walk operators forms
+    no dense Q; they agree with the dense ones to the residual
     contract, not bit for bit. Otherwise the columns come from the
     dense solve: the whole-spectrum one if it ran, else one for k
     pairs, which gives the same bytes. ``k <= n`` holds already: it

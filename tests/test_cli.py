@@ -641,7 +641,8 @@ def test_eigenmap_writes_no_negative_zero(tmp_path, barbell_file):
 
 
 def test_krylov_pays_only_for_narrow_bases():
-    """The route needs its basis of 9(K + 2) columns to fit n / 16 times."""
+    """The route is taken when 144 (K + 2) <= n, a rule measured for an
+    earlier block Krylov solver and kept so no command changes route."""
     assert krylov_pays(16, 3200) and not krylov_pays(21, 3200)
     assert krylov_pays(2, 576) and not krylov_pays(2, 575)
     assert not krylov_pays(1, 60)

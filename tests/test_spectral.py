@@ -7,6 +7,7 @@ from modembed import (
     EigenPairs,
     Embedding,
     CovarianceOperator,
+    Graph,
     NumericalError,
     edge_sampling,
     frobenius_objective,
@@ -107,6 +108,29 @@ def test_power_route_reports_non_convergence():
     m = 0.5 * (m + m.T)
     with pytest.raises(NumericalError):
         top_k_eigen(m, 2, method="power", max_iter=3)
+
+
+def test_power_route_converges_on_a_long_cycle():
+    """The leading spectrum of a 3000-node cycle crowds together: its
+    edge covariance has the pairs cos(2 pi j / n) / n, j = 1, 1, 2, 2, ...,
+    each double and the next one only O(1 / n^3) below."""
+    n = 3000
+    g = Graph.from_edges([(i, (i + 1) % n, 1.0) for i in range(n)])
+    pairs = top_k_eigen(CovarianceOperator(g), 16, method="power")
+    j = np.repeat(np.arange(1, 9), 2)
+    np.testing.assert_allclose(pairs.values, np.cos(2 * np.pi * j / n) / n, rtol=0, atol=1e-12)
+
+
+def test_power_route_restarts_are_seeded():
+    """The top of a star's covariance is a 598-fold zero eigenvalue, so
+    ARPACK draws fresh start vectors; they come from the fixed seed, and
+    two calls give the same bytes."""
+    g = Graph.from_edges([(0, i, 1.0) for i in range(1, 600)])
+    op = CovarianceOperator(g)
+    first = top_k_eigen(op, 2, method="power")
+    second = top_k_eigen(op, 2, method="power")
+    assert first.vectors.tobytes() == second.vectors.tobytes()
+    np.testing.assert_allclose(first.values, top_k_eigen(op, 2).values, rtol=0, atol=1e-12)
 
 
 def test_unknown_method_rejected():
@@ -301,8 +325,9 @@ def _edge_case_matrix(kind, n):
 @pytest.mark.parametrize("kind", ["zero", "identity", "rank1", "gaussian", "tiny"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 20, 40])
 def test_power_route_edge_cases(n, kind):
-    """Exact invariant subspaces (zero, identity, rank one) must end the
-    Krylov extension instead of filling the basis with roundoff."""
+    """Exact invariant subspaces (identity, rank one) make ARPACK draw
+    fresh start vectors; the zero matrix and k == n, which ARPACK
+    rejects, are solved densely."""
     m = _edge_case_matrix(kind, n)
     scale = max(1.0, np.abs(m).sum(axis=1).max())
     dense = np.linalg.eigvalsh(m)[::-1]
