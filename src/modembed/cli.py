@@ -25,7 +25,7 @@ from .errors import FormatError, NumericalError
 from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
 from .graph import Graph, load_edge_list
 from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix, walk_covariance
-# edge/random_walk_sampling and zero_diagonal are unused here; the benchmark tracer looks them up.
+# edge/random_walk_sampling, zero_diagonal, reconstruct: unused here, the benchmark looks them up.
 from .sampling import (
     MAX_WALK_LENGTH,
     edge_sampling,
@@ -151,8 +151,8 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
     """Q of the pair distribution the ``--sampler`` flags draw from g.
 
     The edge and walk samplers give the matrix-free operator, which
-    forms its dense ``q`` only when a dense solve or the softmax ascent
-    reads it; expdist gives the dense matrix.
+    forms its dense ``q`` only when a dense solve or the walk sampler's
+    softmax ascent reads it; expdist gives the dense matrix.
     """
     kind, length = args.sampler
     if kind == "edge":
@@ -276,7 +276,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     q = _covariance(args, g)
     result = softmax_cluster(
-        q.q,
+        q,
         args.dim or max(2, _eigen(args, q)[2]),
         seed=_stage_seed(args.seed, "softmax"),
         max_sweeps=args.max_sweeps,
@@ -301,7 +301,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         stratified=not args.unstratified,
     )
     result = softmax_classify(
-        reconstruct(Embedding(h=h)),
+        Embedding(h=h),
         label_map,
         dataset.n_classes,
         seed=_stage_seed(args.seed, "softmax"),

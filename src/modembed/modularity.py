@@ -126,7 +126,9 @@ class CovarianceOperator:
             step = g.sparse_adjacency @ (step / g.degrees[:, None])
             total = step if self.exact_length else total + step
         total /= (1 if self.exact_length else self.length) * g.total_weight
-        total -= np.outer(self.p_u, pu_x)
+        rows = max(1, 2**14 // pu_x.size)  # 128 kB row blocks: no n x n temporary
+        for s in range(0, self.n, rows):
+            total[s:s + rows] -= np.outer(self.p_u[s:s + rows], pu_x)
         return total
 
 

@@ -1,24 +1,29 @@
 """Softmax clustering on a modularity-style similarity matrix.
 
-Each node carries a probability row over K clusters. Nodes are visited
-in index order and re-weighted multiplicatively by the exponential of
-their covariance-weighted cluster affinities; every single-node update
-is guaranteed not to decrease the clustering objective, so the sweep
-sequence climbs monotonically to a local optimum. Clamping some rows to
-one-hot labels turns the same loop into a semi-supervised classifier.
+Nodes are visited in ascending index order; node u's probability row
+over K clusters is re-weighted by exp(theta z_u), with affinities
+z_u = sum_{w != u} q(u, w) h_w, and renormalized. No update lowers the
+objective, and clamping rows to one-hot labels makes the same ascent a
+semi-supervised classifier. Q is read as B + L R^T, with the self pair
+subtracted rather than zeroed in a copy: B dense (not copied), the edge
+covariance's sparse A/2m with L = -p_u and R = p_u, or an embedding H
+with L = R = H and no B. G = R^T h is kept current as rows change, like
+Louvain's community degree sums (Blondel et al. 2008).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .modularity import Partition
+from .modularity import CovarianceOperator, ModularityMatrix, Partition
 from .spectral import Embedding
 
 LabelSet = Mapping[int, int]
+Similarity = np.ndarray | ModularityMatrix | CovarianceOperator | Embedding
 
 _ROW_TOL = 1e-12
 
@@ -63,35 +68,92 @@ def zero_diagonal(q: np.ndarray) -> np.ndarray:
     return out
 
 
+# Q = scale (b + left right^T), its diagonal scale diag; b a scipy CSR, an array or None.
+_Form = namedtuple("_Form", "b left right diag scale", defaults=(1.0,))
+
+
+def _form(q: Similarity, normalize: bool = False) -> _Form:
+    """q as sparse plus rank one (edge), rank k (H: Q = HH^T) or dense,
+    scaled by 1 / max |q(u, w)| over u != w with ``normalize``."""
+    if isinstance(q, Embedding):
+        f = _Form(None, q.h, q.h, np.einsum("ij,ij->i", q.h, q.h))
+    elif isinstance(q, CovarianceOperator) and q.length == 1:
+        a, p = q.graph.sparse_adjacency, q.p_u
+        b = type(a)((a.data / q.graph.total_weight, a.indices, a.indptr), shape=a.shape)
+        f = _Form(b, -p[:, None], p[:, None], -p * p)
+    else:
+        b = np.asarray(getattr(q, "q", q), dtype=float)
+        f = _Form(b, None, None, np.diag(b))
+    top = _off_diagonal_max(f) if normalize else 0.0
+    return f._replace(scale=1.0 / top) if top > 0 else f
+
+
+def _off_diagonal_max(f: _Form) -> float:
+    """max |q(u, w)| over u != w with the bits of the dense entries: in
+    row blocks, or for the edge form over its edges and the largest
+    p_u p_w of a non-adjacent pair, scanning nodes by descending degree."""
+    n, a = f.diag.size, f.b
+    if f.left is None or a is None:
+        rows, top = max(1, 2**16 // n), 0.0
+        for s in range(0, n, rows):
+            block = np.abs(a[s:s + rows] if f.left is None else f.left[s:s + rows] @ f.right.T)
+            np.fill_diagonal(block[:, s:], 0.0)
+            top = max(top, float(block.max()))
+        return top
+    p = f.right[:, 0]
+    top = float(np.max(np.abs(a.data - np.repeat(p, np.diff(a.indptr)) * p[a.indices]), initial=0))
+    order = np.argsort(-p, kind="stable").tolist()
+    for u in order:
+        if p[u] * p[order[0]] <= top:
+            break
+        near = set(a.indices[a.indptr[u]:a.indptr[u + 1]].tolist()) | {u}
+        w = next((w for w in order if w not in near), None)
+        if w is not None:
+            top = max(top, float(p[u] * p[w]))
+    return top
+
+
 def softmax_objective(q: np.ndarray, h: np.ndarray) -> float:
     """Clustering objective sum_k sum_{u != w} q(u, w) h(u, k) h(w, k).
 
-    Requires the diagonal of q to be zeroed so the u = w terms drop out.
+    A dense q must have a zero diagonal; a form subtracts its diagonal terms.
     """
+    h = np.asarray(h, dtype=float)
+    if isinstance(q, _Form):
+        obj = 0.0 if q.b is None else np.sum(h * (q.b @ h))
+        if q.left is not None:
+            obj += np.sum((q.left.T @ h) * (q.right.T @ h))
+        return float(q.scale * (obj - np.sum(q.diag * np.einsum("ij,ij->i", h, h))))
     q = np.asarray(q, dtype=float)
     if np.max(np.abs(np.diag(q))) != 0.0:
         raise ValueError("objective requires a zero-diagonal q")
-    h = np.asarray(h, dtype=float)
     return float(np.sum(h * (q @ h)))
 
 
 def update_node(q: np.ndarray, h: np.ndarray, u: int, theta: float) -> None:
-    """Re-weight node u's row in place by its cluster affinities.
+    """Re-weight node u's row in place by z = sum_{w != u} q(u, w) h(w, :)."""
+    _reweight(h, u, q[u] @ h - q[u, u] * h[u], theta)
 
-    z_k = sum_{w != u} q(w, u) h(w, k); the row becomes
-    h(u, :) * exp(theta * z) renormalized. The largest z over the row's
-    support is subtracted before exponentiation, which changes nothing
-    in exact arithmetic and keeps the exponentials in range (support
-    only, so coordinates already at zero cannot drag in an overflowing
-    exponent).
-    """
-    z = h.T @ q[:, u]
+
+def _reweight(h: np.ndarray, u: int, z: np.ndarray, theta: float) -> None:
+    """Row u becomes h(u, :) exp(theta z), renormalized; max z on its support
+    is subtracted first, so no exponent overflows."""
     row = h[u]
     support = row > 0
     shifted = theta * (z[support] - z[support].max())
     new = np.zeros_like(row)
     new[support] = row[support] * np.exp(shifted)
     h[u] = new / new.sum()
+
+
+def _row_product(b):
+    """u, h -> B[u] h for the three kinds of B."""
+    if b is None:
+        return lambda u, h: 0.0
+    if isinstance(b, np.ndarray):
+        return lambda u, h: b[u] @ h
+    ptr, idx, val = b.indptr.tolist(), b.indices, b.data
+    return lambda u, h: val[ptr[u]:ptr[u + 1]] @ h[idx[ptr[u]:ptr[u + 1]]]
 
 
 def softmax_sweep(
@@ -105,11 +167,16 @@ def softmax_sweep(
     Rows flagged in ``clamped`` are skipped untouched. Each update sees
     the rows already rewritten earlier in the same sweep.
     """
-    n = h.shape[0]
-    for u in range(n):
+    f = q if isinstance(q, _Form) else _form(q)
+    row, theta = _row_product(f.b), theta * f.scale
+    g = None if f.left is None else f.right.T @ h
+    for u in range(h.shape[0]):
         if clamped is not None and clamped[u]:
             continue
-        update_node(q, h, u, theta)
+        old, z = h[u].copy(), row(u, h) - f.diag[u] * h[u]
+        _reweight(h, u, z if g is None else z + f.left[u] @ g, theta)
+        if g is not None:
+            g += np.outer(f.right[u], h[u] - old)
     return h
 
 
@@ -119,7 +186,7 @@ def _perturbed_uniform(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_sweeps(
-    q: np.ndarray,
+    q: _Form,
     h: np.ndarray,
     theta: float,
     max_sweeps: int,
@@ -142,17 +209,8 @@ def _run_sweeps(
     )
 
 
-def _prepare(q: np.ndarray, normalize: bool) -> np.ndarray:
-    q0 = zero_diagonal(q)
-    if normalize:
-        top = np.max(np.abs(q0))
-        if top > 0:
-            q0 = q0 / top
-    return q0
-
-
 def softmax_cluster(
-    q: np.ndarray,
+    q: Similarity,
     k: int,
     theta: float | None = None,
     seed: int = 0,
@@ -165,7 +223,7 @@ def softmax_cluster(
     This is :func:`softmax_classify` with no labeled nodes; the other
     parameters mean the same there.
     """
-    n = np.shape(q)[0]
+    n = getattr(q, "n", None) or np.shape(q)[0]
     if k < 2:
         raise ValueError("clustering needs at least two clusters")
     if k > n:
@@ -176,7 +234,7 @@ def softmax_cluster(
 
 
 def softmax_classify(
-    q: np.ndarray,
+    q: Similarity,
     labels: LabelSet,
     k: int,
     theta: float | None = None,
@@ -189,8 +247,8 @@ def softmax_classify(
 
     Parameters
     ----------
-    q : (n, n) array
-        Symmetric similarity matrix; its diagonal is ignored.
+    q : (n, n) array, ModularityMatrix, CovarianceOperator or Embedding H
+        Symmetric similarity matrix (HH^T for H); its diagonal is ignored.
     labels : mapping
         Partial map from node index to class index below k; may be empty.
     k : int
@@ -204,13 +262,12 @@ def softmax_classify(
         Stop after a sweep whose objective gain falls below
         tol * max(1, |objective|), or after max_sweeps sweeps.
     normalize : bool
-        Pre-scale q by 1 / max |q| first.
+        Pre-scale q by 1 / max |q(u, w)| over u != w first.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
     if k < 2:
         raise ValueError("classification needs at least two classes")
-    q0 = _prepare(q, normalize)
+    form = _form(q, normalize)
+    n = form.diag.size
     if theta is None:
         theta = float(n * n)
     if theta <= 0:
@@ -226,7 +283,7 @@ def softmax_classify(
         h[node] = 0.0
         h[node, cls] = 1.0
         clamped[node] = True
-    return _run_sweeps(q0, h, theta, max_sweeps, tol, clamped)
+    return _run_sweeps(form, h, theta, max_sweeps, tol, clamped)
 
 
 def hard_assign(embedding: StochasticEmbedding | Embedding | np.ndarray) -> Partition:

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from modembed import (
+    CovarianceOperator,
     cli,
     edge_sampling,
     modularity_matrix,
     planted_partition,
     random_walk_sampling,
+    softmax_cluster,
     top_k_eigen,
+    zero_diagonal,
 )
 from modembed.cli import main
 from modembed.evaluate import read_label_map
@@ -622,6 +625,46 @@ def test_eigenmap_builds_no_dense_adjacency(tmp_path, monkeypatch):
     loaded = _record_loads(monkeypatch)
     assert main(["eigenmap", graph_path, "--dim", "2", "--output", str(tmp_path / "out.tsv")]) == 0
     assert "adjacency" not in loaded[0].__dict__
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an n x n array was formed")
+
+
+def test_edge_cluster_forms_no_dense_q(tmp_path, monkeypatch):
+    """Edge-sampled cluster runs its ascent on A/2m - p_u p_u^T without
+    reading the operator's dense q."""
+    graph_path, _ = _write_planted(tmp_path)
+    monkeypatch.setattr(CovarianceOperator, "q", property(_refuse))
+    out = tmp_path / "clusters.tsv"
+    argv = ["cluster", graph_path, "--sampler", "edge", "--dim", "3", "--output", str(out)]
+    assert main(argv) == 0
+    assert len(read_table(out)[1]) == 60
+
+
+def test_classify_forms_no_recomposition(tmp_path, monkeypatch):
+    """classify runs its ascent on the embedding H, not on HH^T."""
+    graph_path, label_path = _write_planted(tmp_path)
+    monkeypatch.setattr(cli, "reconstruct", _refuse)
+    out = tmp_path / "report.tsv"
+    assert main(["classify", graph_path, label_path, "--dim", "2", "--output", str(out)]) == 0
+    assert float(dict(read_table(out)[1])["micro_f1"]) >= 0.9
+
+
+@pytest.mark.parametrize("name", ["karate.txt", "lesmis.txt"])
+def test_cluster_normalize_matches_the_dense_path(tmp_path, name):
+    """cluster --normalize assigns what the library's dense path does on
+    zero_diagonal(Q) divided by its largest off-diagonal |q|."""
+    out = tmp_path / "clusters.tsv"
+    argv = ["cluster", str(DATA / name), "--dim", "3", "--normalize", "--output", str(out)]
+    assert main(argv) == 0
+    with open(DATA / name) as fh:
+        g = cli.load_edge_list(fh)
+    q0 = zero_diagonal(CovarianceOperator(g).q)
+    seed = cli._stage_seed(0, "softmax")
+    dense = softmax_cluster(q0 / np.max(np.abs(q0)), 3, seed=seed, tol=1e-10)
+    want = [(node, str(c)) for node, c in zip(g.ids, dense.h.argmax(axis=1))]
+    assert [tuple(row) for row in read_table(out)[1]] == want
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -1,5 +1,6 @@
 """Modularity matrices, set covariance, partition and normalized scores."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,22 @@ def test_operator_eigenpairs_match_dense():
     np.testing.assert_allclose(pairs.values, dense.values, rtol=0, atol=1e-12)
     assert np.abs(np.abs(pairs.vectors.T @ dense.vectors) - np.eye(3)).max() <= 1e-6
     assert "adjacency" not in g.__dict__
+
+
+def test_operator_q_holds_one_dense_array_at_its_peak():
+    """Forming the edge operator's dense q subtracts p_u p_u^T in row
+    blocks, in place: the peak stays within a quarter of one n x n array
+    above q itself."""
+    g, _ = planted_partition(5, 100, 0.1, 0.01, seed=0)
+    op = CovarianceOperator(g)
+    op.graph.sparse_adjacency, op.p_u  # cached inputs, outside the measurement
+    tracemalloc.start()
+    try:
+        op.q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * g.n**2 * 8
 
 
 def test_operator_validation():

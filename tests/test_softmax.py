@@ -1,24 +1,34 @@
 """Softmax embedding updates: monotonicity, clamping, clustering."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modembed import (
+    CovarianceOperator,
+    Embedding,
+    Graph,
     Partition,
     StochasticEmbedding,
     edge_sampling,
     hard_assign,
+    load_edge_list,
     modularity_matrix,
     partition_modularity,
     planted_partition,
+    reconstruct,
     softmax_classify,
     softmax_cluster,
     softmax_objective,
     softmax_sweep,
     train_test_split,
+    top_k_eigen,
     update_node,
+    walk_covariance,
     zero_diagonal,
 )
+from modembed.softmax import _form, _off_diagonal_max
 
 from helpers import barbell, random_zero_diag_symmetric, set_partitions
 
@@ -246,3 +256,80 @@ def test_stochastic_embedding_validation():
             converged=True,
         )
 
+
+
+DATA = Path(__file__).resolve().parent / "data"
+_GRAPHS = {
+    "karate": lambda: load_edge_list((DATA / "karate.txt").read_text()),
+    "barbell": barbell,
+    "lesmis": lambda: load_edge_list((DATA / "lesmis.txt").read_text()),
+}
+
+
+def _two_hubs(leaves=6):
+    """Two adjacent hubs with their own leaves: the largest p_u p_w is an
+    edge's, where q(u, w) is not -p_u p_w."""
+    edges = [(0, 1)] + [(hub, 2 + 2 * i + hub) for i in range(leaves) for hub in (0, 1)]
+    return Graph.from_edges([(u, w, 1.0) for u, w in edges])
+
+
+def test_lesmis_fixture_is_the_weighted_networkx_graph():
+    g = _GRAPHS["lesmis"]()
+    assert (g.n, g.edge_count) == (77, 254)
+    assert g.total_weight == 2 * 820.0
+
+
+@pytest.mark.parametrize("name", [*sorted(_GRAPHS), "two-hubs"])
+def test_edge_scale_is_the_dense_off_diagonal_maximum(name):
+    """--normalize's scale for the edge form, from its edges and its
+    largest non-adjacent p_u p_w, has the bits of the dense maximum; so
+    has the row-block maximum of the dense and rank-k forms."""
+    op = CovarianceOperator(_GRAPHS.get(name, _two_hubs)())
+    assert _off_diagonal_max(_form(op)) == np.max(np.abs(zero_diagonal(op.q)))
+    assert _off_diagonal_max(_form(op.q)) == np.max(np.abs(zero_diagonal(op.q)))
+    emb = Embedding(h=top_k_eigen(op.q, 2).vectors)
+    dense = np.max(np.abs(zero_diagonal(reconstruct(emb))))
+    assert _off_diagonal_max(_form(emb)) == pytest.approx(dense, rel=1e-15)
+
+
+def test_dense_forms_read_q_without_a_copy():
+    """A walk covariance's sweep reads the operator's cached q itself."""
+    op = walk_covariance(barbell(), 3)
+    assert _form(op).b is op.q
+    assert _form(op.q).b is op.q
+
+
+def _labels(n, k, clamp):
+    rng = np.random.default_rng(n)
+    return {u: int(rng.integers(k)) for u in range(0, n, 5)} if clamp else {}
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+@pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_forms_match_the_zero_diagonal_dense_path(name, clamp, normalize):
+    """The edge operator, the dense q with its diagonal, the walk
+    operator and an embedding H (against HH^T) give the hard assignments
+    of the dense path on zero_diagonal(q), divided by its largest |q|
+    under normalize, with histories within 1e-12 * max(1, |objective|),
+    over a fixed number of sweeps."""
+    g = _GRAPHS[name]()
+    k = 3
+    labels = _labels(g.n, k, clamp)
+    emb = Embedding(h=top_k_eigen(CovarianceOperator(g).q, k).vectors)
+    cases = [
+        (CovarianceOperator(g), CovarianceOperator(g).q),
+        (CovarianceOperator(g).q, CovarianceOperator(g).q),
+        (walk_covariance(g, 3), walk_covariance(g, 3).q),
+        (emb, reconstruct(emb)),
+    ]
+    for q, dense in cases:
+        # tol=-1 never stops the ascent, so both runs make ten sweeps
+        run = dict(seed=7, max_sweeps=10, tol=-1.0)
+        q0 = zero_diagonal(dense)
+        want = softmax_classify(q0 / np.max(np.abs(q0)) if normalize else q0, labels, k, **run)
+        got = softmax_classify(q, labels, k, normalize=normalize, **run)
+        np.testing.assert_array_equal(hard_assign(got).assignment, hard_assign(want).assignment)
+        slack = 1e-12 * np.maximum(1.0, np.abs(want.history))
+        assert np.all(np.abs(got.history - want.history) <= slack)
+        assert got.sweeps == want.sweeps == 10

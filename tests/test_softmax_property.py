@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from modembed import softmax_classify
+from modembed import CovarianceOperator, Embedding, softmax_classify
 
-from helpers import random_zero_diag_symmetric
+from helpers import random_connected_graph, random_orthonormal, random_zero_diag_symmetric
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,3 +29,38 @@ def test_sweeps_never_lower_the_objective(n, k, seed, scale, clamp):
     history = softmax_classify(q, labels, k, seed=seed, max_sweeps=6, tol=0.0).history
     slack = 1e-12 * np.maximum(1.0, np.abs(history[1:]))
     assert np.all(np.diff(history) >= -slack)
+
+
+def _assert_monotone(q, n, k, seed, clamp):
+    rng = np.random.default_rng(seed)
+    labeled = np.flatnonzero(rng.random(n) < 0.3) if clamp else []
+    labels = {int(u): int(rng.integers(k)) for u in labeled}
+    history = softmax_classify(q, labels, k, seed=seed, max_sweeps=6, tol=0.0).history
+    slack = 1e-12 * np.maximum(1.0, np.abs(history[1:]))
+    assert np.all(np.diff(history) >= -slack)
+
+
+@hypothesis.given(
+    n=st.integers(2, 20),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    clamp=st.booleans(),
+)
+def test_sweeps_never_lower_the_objective_on_the_edge_operator(n, k, seed, clamp):
+    """The same on the sparse-plus-rank-one Q of a random weighted graph."""
+    g = random_connected_graph(np.random.default_rng(seed), n, weighted=True)
+    _assert_monotone(CovarianceOperator(g), n, k, seed, clamp)
+
+
+@hypothesis.given(
+    n=st.integers(2, 20),
+    r=st.integers(1, 5),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    clamp=st.booleans(),
+)
+def test_sweeps_never_lower_the_objective_on_an_embedding(n, r, k, seed, clamp):
+    """The same on the rank-r Q = HH^T of a random orthonormal H."""
+    hypothesis.assume(r <= n)
+    h = random_orthonormal(np.random.default_rng(seed), n, r)
+    _assert_monotone(Embedding(h=h), n, k, seed, clamp)
