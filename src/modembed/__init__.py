@@ -67,6 +67,7 @@ from .softmax import (
 from .spectral import (
     EigenPairs,
     Embedding,
+    eigenvalues,
     frobenius_objective,
     reconstruct,
     select_dimension,
@@ -95,6 +96,7 @@ __all__ = [
     "StochasticEmbedding",
     "edge_sampling",
     "eigenmap_embedding",
+    "eigenvalues",
     "exp_distance_sampling",
     "frobenius_objective",
     "half_sq_euclidean",

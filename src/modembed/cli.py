@@ -35,7 +35,8 @@ from .sampling import (
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
-from .spectral import Embedding, krylov_pays, reconstruct, select_dimension, top_k_eigen
+from .spectral import Embedding, eigenvalues, krylov_pays, reconstruct, select_dimension
+from .spectral import top_k_eigen
 
 
 class _UsageError(Exception):
@@ -133,7 +134,7 @@ def _stage_seed(seed: int, tag: str) -> int:
 
 
 # ===================================================================
-# Pipeline: graph -> sampled pairs -> Q -> eigenpairs
+# Pipeline: graph -> sampled pairs -> Q -> spectrum and eigenvectors
 # ===================================================================
 
 
@@ -162,34 +163,21 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
     return modularity_matrix(exp_distance_sampling(resistance_distance(g), theta=args.theta))
 
 
-def _eigen(
+def _spectrum(
     args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator
-) -> tuple[np.ndarray | None, np.ndarray, int]:
-    """Spectrum of Q, the n x k coordinates the command writes, and k.
+) -> tuple[np.ndarray | None, int]:
+    """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
+    None), and k: a fixed ``--dim``, checked where the graph was read,
+    or the one auto picks."""
+    values = eigenvalues(q) if args.dim is None or args.emit_spectrum else None
+    return values, args.dim or select_dimension(values, q.n)
 
-    The whole spectrum is computed, densely, only when ``--dim auto`` or
-    an ``--emit-spectrum`` sidecar needs it; the values are None
-    otherwise. A fixed ``--dim k`` for which ``krylov_pays(k, n)``
-    holds gets its columns from one ARPACK Lanczos call for exactly k
-    pairs, sidecar or not, which on the edge and walk operators forms
-    no dense Q; they agree with the dense ones to the residual
-    contract, not bit for bit. Otherwise the columns come from the
-    dense solve: the whole-spectrum one if it ran, else one for k
-    pairs, which gives the same bytes. ``k <= n`` holds already: it
-    was checked where the graph was read.
-    """
-    k = args.dim
-    krylov = k is not None and krylov_pays(k, q.n)
-    values = h = None
-    if k is None or args.emit_spectrum:
-        pairs = top_k_eigen(q, q.n)
-        values = pairs.values
-        k = k or select_dimension(values, q.n)
-        if not krylov:
-            h = pairs.vectors[:, :k]
-    if h is None:
-        h = top_k_eigen(q, k, method="power" if krylov else "dense").vectors
-    return values, h, k
+
+def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray:
+    """The top k eigenvectors of Q from one solve: ARPACK's Lanczos
+    iteration when ``krylov_pays(k, n)``, on the edge and walk operators
+    without a dense Q, otherwise the dense decomposition."""
+    return top_k_eigen(q, k, method="power" if krylov_pays(k, q.n) else "dense").vectors
 
 
 # ===================================================================
@@ -233,15 +221,16 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    values, _, k = _eigen(args, _covariance(args, g))
+    values, k = _spectrum(args, _covariance(args, g))
     _write_tsv(args.output, _spectrum_rows(values, k))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    values, h, k = _eigen(args, _covariance(args, g))
-    _write_tsv(args.output, _embedding_rows(g.ids, h))
+    q = _covariance(args, g)
+    values, k = _spectrum(args, q)
+    _write_tsv(args.output, _embedding_rows(g.ids, _coordinates(q, k)))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
     if args.id_map:
@@ -265,8 +254,9 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     n = data.x.shape[0]
     if args.dim is not None and args.dim > n:
         raise _UsageError(f"--dim {args.dim} exceeds the point count {n}")
-    emb, scales = pca_embedding(data, n)
-    k = args.dim or (select_dimension(scales**2, n) if n >= 2 else 1)
+    # auto reads every singular value, plus one zero for the Gram matrix's other n - p.
+    emb, scales = pca_embedding(data, args.dim or min(data.x.shape))
+    k = args.dim or select_dimension(np.append(scales**2, 0.0), n)
     h = emb.h[:, :k]
     _write_tsv(args.output, _embedding_rows(names, h * scales[:k] if args.scaled else h))
     return 0
@@ -277,7 +267,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     q = _covariance(args, g)
     result = softmax_cluster(
         q,
-        args.dim or max(2, _eigen(args, q)[2]),
+        args.dim or max(2, _spectrum(args, q)[1]),
         seed=_stage_seed(args.seed, "softmax"),
         max_sweeps=args.max_sweeps,
         tol=args.tol,
@@ -293,7 +283,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dataset, _ = load_labels(args.labels, g)
-    values, h, k = _eigen(args, _covariance(args, g))
+    q = _covariance(args, g)
+    values, k = _spectrum(args, q)
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,
@@ -301,7 +292,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         stratified=not args.unstratified,
     )
     result = softmax_classify(
-        Embedding(h=h),
+        Embedding(h=_coordinates(q, k)),
         label_map,
         dataset.n_classes,
         seed=_stage_seed(args.seed, "softmax"),
@@ -356,7 +347,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="modembed", description=__doc__)
-    # What _load_graph and _eigen read on commands without these flags:
+    # What _load_graph and _spectrum read on commands without these flags:
     # spectrum always picks its k, and cluster writes no spectrum sidecar.
     parser.set_defaults(dim=None, emit_spectrum=None)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,8 +6,8 @@ turns one into a cohesion matrix, a similarity with zero row sums, and
 the two representations are exactly interchangeable. Graph Laplacians
 slot into the same picture: the pseudo-inverse of the Laplacian is a
 cohesion matrix whose induced semi-metric is the resistance distance,
-and half squared Euclidean distances induce the centered Gram matrix
-that principal component analysis diagonalizes.
+and half squared Euclidean distances induce the centered Gram matrix,
+whose top eigenvectors are the principal components.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, top_k_eigen
+from .spectral import Embedding, _fix_signs, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
@@ -214,28 +214,23 @@ def half_sq_euclidean(x: DataMatrix | np.ndarray) -> SemiMetric:
 def pca_embedding(
     x: DataMatrix | np.ndarray, k: int
 ) -> tuple[Embedding, np.ndarray]:
-    """Principal components via the centered Gram matrix.
+    """Principal components through a thin SVD of the centered data.
 
-    Returns the top-K unit eigenvectors of G = (X - c)(X - c)^T as an
-    embedding together with the column scales sqrt(max(lambda_k, 0));
-    scaled columns reproduce classical PCA scores up to per-column
-    sign. The whole spectrum of G is solved so that its smallest
-    eigenvalue can be checked against -1e-10 times its largest.
+    The top-K eigenvectors of the centered Gram matrix (X - c)(X - c)^T,
+    signs fixed as in ``top_k_eigen``, are the left singular vectors of
+    X - c; the column scales are the singular values, zero past the
+    column count p. Scaled columns are classical PCA scores up to sign.
+    Only a K above p takes the full n x n U, whose columns past p are
+    null vectors of the Gram matrix.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
-    centered = x.x - x.centroid
-    gram = centered @ centered.T
-    gram = 0.5 * (gram + gram.T)
-    n = gram.shape[0]
+    n, p = x.x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    pairs = top_k_eigen(gram, n)
-    # Roundoff in the eigenvalues grows with the scale of the Gram matrix.
-    if pairs.values[-1] < -1e-10 * abs(pairs.values[0]):
-        raise ValueError("centered Gram matrix is not positive semi-definite")
-    scales = np.sqrt(np.maximum(pairs.values[:k], 0.0))
-    return Embedding(h=pairs.vectors[:, :k]), scales
+    u, s, _ = np.linalg.svd(x.x - x.centroid, full_matrices=k > p)
+    scales = np.pad(s[:k], (0, max(0, k - s.size)))
+    return Embedding(h=_fix_signs(u[:, :k])), scales
 
 
 def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, list[str]]:

@@ -1,14 +1,14 @@
 """Eigensolvers, spectral embeddings, and the objectives they optimize.
 
 The embedding of a graph is read off the top eigenvectors of its
-modularity matrix. Two solver routes are provided: a dense LAPACK
-decomposition (the default of ``top_k_eigen``, exact, and the faster
-route for whole spectra and small matrices) and scipy's ARPACK
-implicitly restarted Lanczos iteration, which touches the matrix only
-through matrix-vector products, is faster for a few leading pairs of a
-large matrix (``krylov_pays`` says when) and also runs on the
-matrix-free covariance operator. Both routes meet the same residual
-contract.
+modularity matrix, its dimension off the spectrum (``eigenvalues``,
+no vectors). Eigenpairs take one of two routes: a dense LAPACK
+decomposition (the default of ``top_k_eigen``, exact, and faster for
+small matrices) or scipy's ARPACK implicitly restarted Lanczos
+iteration, which touches the matrix only through matrix-vector
+products, is faster for a few leading pairs of a large matrix
+(``krylov_pays`` says when) and also runs on the matrix-free
+covariance operator. Both meet the same residual contract.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 _SIGN_TOL = 1e-12
 _RESIDUAL_BOUND = 1e-8
 _ORTHO_TOL = 1e-10
+_SPECTRUM_ULPS = 16  # times n * eps: the roundoff of n-term sums
 
 
 # ===================================================================
@@ -117,12 +118,6 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _dense_top_k(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    values, vectors = np.linalg.eigh(m)
-    order = np.arange(m.shape[0] - 1, m.shape[0] - 1 - k, -1)
-    return values[order], vectors[:, order]
-
-
 def _power_top_k(
     m: "np.ndarray | Covariance", n: int, k: int, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -149,20 +144,16 @@ def _power_top_k(
 def krylov_pays(k: int, n: int) -> bool:
     """Whether the Lanczos route should beat the dense one for k of n pairs.
 
-    The rule, 144 (k + 2) <= n, was measured for an earlier block Krylov
-    solver whose basis of 9 (k + 2) columns had to fit n / 16 times; it
-    is kept so that no command changes route. ARPACK beat that solver on
-    every input measured, at k = 64 of 3200 nodes too, so the rule now
-    errs towards the dense route.
+    The command line asks this for a fixed ``--dim`` and for the k that
+    ``--dim auto`` picks. The rule, 144 (k + 2) <= n, was measured for an
+    earlier block Krylov solver; ARPACK beat that solver on every input
+    measured, at k = 64 of 3200 nodes too, so it errs towards the dense route.
     """
     return 144 * (k + 2) <= n
 
 
 def top_k_eigen(
-    m: "np.ndarray | Covariance",
-    k: int,
-    max_iter: int = 10000,
-    method: str = "dense",
+    m: "np.ndarray | Covariance", k: int, max_iter: int = 10000, method: str = "dense"
 ) -> EigenPairs:
     """Compute the K algebraically largest eigenpairs of a symmetric matrix.
 
@@ -204,7 +195,9 @@ def top_k_eigen(
         values, vectors = _power_top_k(m, n, k, max_iter)
     else:
         m = getattr(m, "q", m)
-        values, vectors = _dense_top_k(m, k)
+        values, vectors = np.linalg.eigh(m)
+        order = np.arange(n - 1, n - 1 - k, -1)
+        values, vectors = values[order], vectors[:, order]
     vectors = _fix_signs(vectors)
     bound = _RESIDUAL_BOUND * max(1.0, norm)
     residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
@@ -215,12 +208,33 @@ def top_k_eigen(
     return EigenPairs(values=values, vectors=vectors)
 
 
+def eigenvalues(m: "np.ndarray | Covariance") -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, descending, and no vectors.
+
+    A covariance is decomposed through its dense ``q``. With no residual
+    to check, the values must give back the trace and the squared
+    Frobenius norm, |sum lambda - tr Q| <= 16 n eps ||Q||_F and
+    |sum lambda^2 - ||Q||_F^2| <= 16 n eps ||Q||_F^2, or NumericalError
+    is raised.
+    """
+    m = m.q if hasattr(m, "norm_bound") else _check_symmetric(m)
+    values = np.linalg.eigvalsh(m)[::-1]
+    fro = float(np.linalg.norm(m))
+    bound = _SPECTRUM_ULPS * m.shape[0] * np.finfo(float).eps * fro
+    trace_err, square_err = abs(values.sum() - np.trace(m)), abs(values @ values - fro * fro)
+    if not (trace_err <= bound and square_err <= bound * fro):
+        raise NumericalError(f"eigenvalues miss the trace by {trace_err:.3e} "
+                             f"or the squared norm by {square_err:.3e}")
+    return values
+
+
 def select_dimension(values: Sequence[float] | np.ndarray, k_max: int) -> int:
     """Pick an embedding dimension at the largest spectral gap.
 
-    Scans positions k with a strictly positive k-th eigenvalue and
-    returns the k maximizing values[k-1] - values[k]; ties go to the
-    smallest k, and if no eigenvalue is positive the fallback is 1.
+    Scans positions k whose k-th eigenvalue exceeds n eps max|lambda|,
+    so that no roundoff copy of Q's exact zero eigenvalue counts as
+    positive, and returns the k maximizing values[k-1] - values[k]; ties
+    go to the smallest k, and with no candidate the fallback is 1.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
@@ -230,16 +244,9 @@ def select_dimension(values: Sequence[float] | np.ndarray, k_max: int) -> int:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     upper = min(k_max, values.size)
-    best_k = 1
-    best_gap = -np.inf
-    for k in range(1, upper):
-        if values[k - 1] <= 0:
-            continue
-        gap = values[k - 1] - values[k]
-        if gap > best_gap:
-            best_gap = gap
-            best_k = k
-    return best_k
+    floor = values.size * np.finfo(float).eps * np.abs(values).max()
+    gaps = np.where(values[:upper - 1] > floor, values[:upper - 1] - values[1:upper], -np.inf)
+    return int(np.argmax(gaps)) + 1 if gaps.size else 1
 
 
 # ===================================================================

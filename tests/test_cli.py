@@ -15,6 +15,8 @@ from modembed import (
     modularity_matrix,
     planted_partition,
     random_walk_sampling,
+    select_dimension,
+    semimetric,
     softmax_cluster,
     top_k_eigen,
     zero_diagonal,
@@ -522,12 +524,12 @@ def _write_large_planted(tmp_path, blocks, size):
     ("graph", "flags", "expected"),
     [
         ("large", ["embed", "--dim", "2"], [(2, "power")]),
-        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(600, "dense"), (2, "power")]),
+        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "power")]),
         ("large", ["classify", "--dim", "2"], [(2, "power")]),
         ("planted", ["embed", "--dim", "2"], [(2, "dense")]),
-        ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(60, "dense")]),
+        ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "dense")]),
         ("barbell", ["embed", "--dim", "2"], [(2, "dense")]),
-        ("planted", ["embed", "--dim", "auto"], [(60, "dense")]),
+        ("planted", ["embed", "--dim", "auto"], [(2, "dense")]),
         ("planted", ["cluster", "--dim", "3"], []),
     ],
     ids=[
@@ -536,9 +538,9 @@ def _write_large_planted(tmp_path, blocks, size):
     ],
 )
 def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, expected):
-    """A fixed --dim K asks for K pairs on the Krylov route when
-    krylov_pays(K, n), and otherwise reuses or runs the dense solve;
-    spectra and auto always solve densely for all n."""
+    """The K embedded at, fixed or picked by auto, gets one solve for K
+    pairs, on the Krylov route when krylov_pays(K, n) and densely
+    otherwise; spectra need no eigenpairs at all."""
     if graph == "large":
         _, graph_path, label_path = _write_large_planted(tmp_path, 3, 200)
     elif graph == "planted":
@@ -562,18 +564,16 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
          lambda g: random_walk_sampling(g, 3)),
         (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "power")],
          lambda g: random_walk_sampling(g, 3, exact_length=True)),
-        (["--emit-spectrum"],
-         [("CovarianceOperator", 600, "dense"), ("CovarianceOperator", 2, "power")],
-         edge_sampling),
+        (["--emit-spectrum"], [("CovarianceOperator", 2, "power")], edge_sampling),
         (["--sampler", "expdist"], [("ModularityMatrix", 2, "power")], None),
     ],
     ids=["edge", "walk", "walk-exact", "edge-sidecar", "expdist"],
 )
 def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flags, expected, sample):
     """A fixed --dim K on the Krylov route hands the edge and walk
-    covariances to the solver as the matrix-free operator, which a
-    sidecar spectrum decomposes through its dense q; expdist keeps its
-    dense Q. The columns meet the residual contract against the dense Q."""
+    covariances to the solver as the matrix-free operator, with or
+    without a sidecar spectrum; expdist keeps its dense Q. The columns
+    meet the residual contract against the dense Q."""
     g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
     loaded, calls = _record_loads(monkeypatch), []
     solve = cli.top_k_eigen
@@ -685,7 +685,8 @@ def test_eigenmap_writes_no_negative_zero(tmp_path, barbell_file):
 
 def test_krylov_pays_only_for_narrow_bases():
     """The route is taken when 144 (K + 2) <= n, a rule measured for an
-    earlier block Krylov solver and kept so no command changes route."""
+    earlier block Krylov solver; it holds for a fixed K and for the K
+    that --dim auto picks."""
     assert krylov_pays(16, 3200) and not krylov_pays(21, 3200)
     assert krylov_pays(2, 576) and not krylov_pays(2, 575)
     assert not krylov_pays(1, 60)
@@ -713,6 +714,84 @@ def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
     theta = np.einsum("ij,ij->j", h, q @ h)
     assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= bound
     np.testing.assert_allclose(theta, top_k_eigen(q, 4).values, rtol=0, atol=bound)
+
+
+def _refuse_eigenpairs(*args, **kwargs):
+    raise AssertionError("eigenvectors were computed")
+
+
+@pytest.mark.parametrize("sampler", ["edge", "walk:3", "expdist"])
+@pytest.mark.parametrize(
+    "flags", [["spectrum"], ["cluster", "--dim", "auto"]], ids=["spectrum", "cluster-auto"]
+)
+def test_spectra_compute_no_eigenvectors(tmp_path, monkeypatch, flags, sampler):
+    """spectrum and cluster --dim auto read eigenvalues alone."""
+    graph_path, _ = _write_planted(tmp_path)
+    monkeypatch.setattr(cli, "top_k_eigen", _refuse_eigenpairs)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse_eigenpairs)
+    argv = [flags[0], graph_path, *flags[1:], "--sampler", sampler]
+    assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
+
+
+@pytest.mark.parametrize("sampler", ["edge", "walk:3"])
+def test_auto_dimension_takes_the_krylov_route(tmp_path, monkeypatch, sampler):
+    """--dim auto on n=600 picks k from the values-only spectrum and,
+    since krylov_pays(k, n) holds, solves for k pairs on the Lanczos
+    route. The sidecar's k is the dense spectrum's, and the columns meet
+    the residual contract against the dense Q."""
+    g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
+    out, spec = tmp_path / "emb.tsv", tmp_path / "spec.tsv"
+    calls = _record_eigen_calls(monkeypatch)
+    argv = ["embed", graph_path, "--sampler", sampler, "--output", str(out)]
+    assert main(argv + ["--emit-spectrum", str(spec)]) == 0
+    sampled = edge_sampling(g) if sampler == "edge" else random_walk_sampling(g, 3)
+    q = modularity_matrix(sampled).q
+    k = select_dimension(np.linalg.eigvalsh(q)[::-1], g.n)
+    assert krylov_pays(k, g.n) and calls == [(k, "power")]
+    assert spec.read_text().splitlines()[-1] == f"# selected_k\t{k}"
+    _, body = read_table(out)
+    h = np.zeros((g.n, k))
+    for name, *row in body:
+        h[g.index_of(name)] = [float(v) for v in row]
+    bound = 1e-8 * max(1.0, np.abs(q).sum(axis=1).max())
+    assert np.abs(h.T @ h - np.eye(k)).max() <= 1e-10
+    theta = np.einsum("ij,ij->j", h, q @ h)
+    assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= bound
+    np.testing.assert_allclose(theta, top_k_eigen(q, k).values, rtol=0, atol=bound)
+
+
+def _pca_points(name):
+    if name == "accept16":  # the points of ACCEPT 16
+        return np.random.default_rng(16).standard_normal((12, 3))
+    if name == "two":
+        return np.array([[-1.0, 0.0], [1.0, 0.0]])
+    if name == "one":
+        return np.array([[1.0, 2.0, 3.0]])
+    if name == "identical":
+        return np.array([[1.0, 2.0], [1.0, 2.0]])
+    if name == "large-scale":
+        return np.random.default_rng(0).standard_normal((40, 3)) * 100
+    if name == "wide":
+        return np.random.default_rng(3).standard_normal((6, 10))
+    return np.random.default_rng(4).standard_normal((50, 6)) * [10, 9.5, 9, 0.1, 0.1, 0.1]
+
+
+@pytest.mark.parametrize(
+    ("name", "k"),
+    [("accept16", 1), ("two", 1), ("one", 1), ("identical", 1), ("large-scale", 3),
+     ("wide", 2), ("three-strong", 3)],
+)
+def test_pca_auto_picks_k_without_an_eigendecomposition(tmp_path, monkeypatch, name, k):
+    """pca --dim auto picks from the squared singular values plus one
+    zero the k that the whole centered Gram spectrum gave (pinned here),
+    and neither eigh nor top_k_eigen runs."""
+    data = tmp_path / "points.csv"
+    data.write_text("".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in _pca_points(name)))
+    monkeypatch.setattr(semimetric, "top_k_eigen", _refuse_eigenpairs)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse_eigenpairs)
+    out = tmp_path / "pca.tsv"
+    assert main(["pca", str(data), "--output", str(out)]) == 0
+    assert read_table(out)[0] == ["node", *(f"dim_{j + 1}" for j in range(k))]
 
 
 def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):

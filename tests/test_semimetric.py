@@ -29,9 +29,9 @@ from modembed import (
     pca_embedding,
     resistance_distance,
     select_dimension,
+    semimetric,
     top_k_eigen,
 )
-
 from helpers import (
     cycle4,
     largest_principal_angle,
@@ -330,12 +330,34 @@ def test_pca_matches_svd_oracle():
 
 
 def test_pca_accepts_large_scale_points():
-    """The PSD check tolerates roundoff relative to the Gram matrix's scale:
-    40 points of magnitude ~100 give eigenvalues near -1e-9 that are zero."""
+    """Points of magnitude ~100 and K above the column count: the 37
+    scales past the rank of 40 points in 3 dimensions are zero, and the
+    40 columns are the full set of left singular vectors."""
     x = np.random.default_rng(0).standard_normal((40, 3)) * 100
     emb, scales = pca_embedding(DataMatrix(x), 40)
     assert emb.h.shape == (40, 40)
     np.testing.assert_allclose(scales[3:], 0.0, atol=1e-6 * scales[0])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an eigendecomposition ran")
+
+
+@pytest.mark.parametrize("k", [2, 5, 7])
+def test_pca_runs_no_eigendecomposition(monkeypatch, k):
+    """A thin SVD, or the full U for K above the column count 5: its
+    scales are the square roots of the centered Gram eigenvalues, zero
+    past the rank, without eigh or top_k_eigen running."""
+    x = np.random.default_rng(7).standard_normal((7, 5))
+    centered = x - x.mean(axis=0)
+    gram_values = np.linalg.eigvalsh(centered @ centered.T)[::-1]
+    monkeypatch.setattr(semimetric, "top_k_eigen", _refuse)
+    monkeypatch.setattr(np.linalg, "eigh", _refuse)
+    emb, scales = pca_embedding(DataMatrix(x), k)
+    assert emb.h.shape == (7, k)
+    np.testing.assert_allclose(scales**2, np.maximum(gram_values[:k], 0), rtol=0, atol=1e-12)
+    assert np.all(scales[5:] == 0.0)
+    np.testing.assert_allclose(centered @ centered.T @ emb.h, emb.h * scales**2, atol=1e-12)
 
 
 def test_small_theta_sampling_recovers_cohesion_direction():

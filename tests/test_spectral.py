@@ -1,5 +1,7 @@
 """Eigendecomposition routes, gap rule, embeddings, and both objectives."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,22 @@ from modembed import (
     Graph,
     NumericalError,
     edge_sampling,
+    eigenvalues,
+    exp_distance_sampling,
     frobenius_objective,
+    load_edge_list,
     modularity_matrix,
     planted_partition,
     reconstruct,
+    resistance_distance,
     select_dimension,
     spectral_embedding,
     top_k_eigen,
+    walk_covariance,
     weighted_distance_objective,
 )
 from modembed import spectral
+from modembed.cli import main
 
 from helpers import (
     barbell,
@@ -183,6 +191,36 @@ def test_select_dimension_skips_nonpositive_candidates():
     assert select_dimension([0.5, -0.01, -0.9], 3) == 1
 
 
+def test_select_dimension_ignores_roundoff_above_zero():
+    """Every Q has an exact zero eigenvalue. On the path a-b-c eigvalsh
+    returns it as 1.45e-17 and 3.4e-19; neither counts as positive, since
+    both lie below n eps max|lambda|. A value above that floor does."""
+    assert select_dimension([1.45e-17, 3.4e-19, -0.375], 3) == 1
+    assert select_dimension([1e-3, 1e-14, -1.0], 3) == 2
+
+
+def _select_dimension_loop(values, k_max):
+    """The scalar loop that select_dimension vectorizes, as its reference."""
+    floor = len(values) * np.finfo(float).eps * np.abs(values).max()
+    best_k, best_gap = 1, -np.inf
+    for k in range(1, min(k_max, len(values))):
+        if values[k - 1] > floor and values[k - 1] - values[k] > best_gap:
+            best_k, best_gap = k, values[k - 1] - values[k]
+    return best_k
+
+
+def test_select_dimension_matches_the_scalar_loop():
+    """Ties (rounded values), values within roundoff of zero and every k_max."""
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        n = int(rng.integers(2, 12))
+        values = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+        values[rng.integers(n)] = rng.choice([0.0, 1e-17, -1e-17, 3e-16])
+        values = np.sort(values)[::-1]
+        for k_max in range(1, n + 2):
+            assert select_dimension(values, k_max) == _select_dimension_loop(values, k_max)
+
+
 def test_select_dimension_errors():
     with pytest.raises(ValueError):
         select_dimension([0.5], 3)
@@ -344,3 +382,66 @@ def test_power_route_converges_on_planted_partition_within_500_products():
     power = top_k_eigen(q, 8, method="power", max_iter=500)
     dense = top_k_eigen(q, 8)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-8)
+
+
+KARATE = Path(__file__).resolve().parent / "data" / "karate.txt"
+
+
+def _karate():
+    with open(KARATE) as fh:
+        return load_edge_list(fh)
+
+
+def _covariance(g, sampler):
+    if sampler == "edge":
+        return CovarianceOperator(g)
+    if sampler == "walk:3":
+        return walk_covariance(g, 3)
+    return modularity_matrix(exp_distance_sampling(resistance_distance(g)))
+
+
+@pytest.mark.parametrize("sampler", ["edge", "walk:3", "expdist"])
+@pytest.mark.parametrize("graph", ["karate", "planted"])
+def test_eigenvalues_match_the_eigenpair_spectrum(graph, sampler):
+    """The values-only solve gives the whole spectrum the eigenpair
+    solve does, to 1e-16 on the residual contract's scale max(1, ||Q||)."""
+    if graph == "karate":
+        g = _karate()
+    else:
+        g, _ = planted_partition(3, 20, 0.6, 0.05, seed=0)
+    q = _covariance(g, sampler)
+    bound = 1e-16 * max(1.0, q.norm_bound)
+    np.testing.assert_allclose(eigenvalues(q), top_k_eigen(q, q.n).values, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity", "rank1", "gaussian", "tiny"])
+@pytest.mark.parametrize("n", [1, 2, 13])
+def test_eigenvalues_of_edge_case_matrices(n, kind):
+    m = _edge_case_matrix(kind, n)
+    np.testing.assert_array_equal(eigenvalues(m), np.linalg.eigvalsh(m)[::-1])
+
+
+def test_eigenvalues_check_symmetry():
+    with pytest.raises(ValueError, match="symmetric"):
+        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("kept", ["trace", "nothing"])
+def test_eigenvalues_reject_a_perturbed_spectrum(tmp_path, monkeypatch, kept):
+    """A value moved by 1e-9 ||Q||_F misses the trace identity; moving
+    two values in opposite directions keeps the trace but misses the
+    squared norm. Either raises, and the spectrum command exits 3."""
+    exact = np.linalg.eigvalsh
+
+    def perturbed(m):
+        values = exact(m).copy()
+        delta = 1e-9 * np.linalg.norm(m)
+        values[-1] += delta
+        if kept == "trace":
+            values[0] -= delta
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+    with pytest.raises(NumericalError, match="squared norm"):
+        eigenvalues(CovarianceOperator(_karate()))
+    assert main(["spectrum", str(KARATE), "--output", str(tmp_path / "spec.tsv")]) == 3
