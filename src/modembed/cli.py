@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import zlib
 
@@ -44,6 +45,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # then read `-1e-3`, like `-0.001`, as a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
@@ -426,13 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -236,10 +236,9 @@ def read_label_map(path: str | Path) -> dict[str, str]:
     raw: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
-            fields = text.split()
             if len(fields) != 2:
                 raise FormatError(f"{path}: line {lineno}: expected '<node_id> <label>'")
             node, name = fields

@@ -26,8 +26,9 @@ class Graph:
 
     Nodes are indexed 0..n-1. Row i of ``edges`` is the pair
     (u, w) with u < w that carries weight ``weights[i]``; each pair
-    appears once. ``ids`` maps each index back to the external
-    identifier it was loaded under.
+    appears once, and the weighted degrees sum to a finite total.
+    ``ids`` maps each index back to the external identifier it was
+    loaded under.
     """
 
     n: int
@@ -56,19 +57,20 @@ class Graph:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"edge ({u[i]}, {w[i]}) {problem}")
-        pairs, counts = np.unique(edges, axis=0, return_counts=True)
+        # u·n + w orders pairs as (u, w) do and is injective while n² < 2⁶³ (n < 3.03e9).
+        keys, counts = np.unique(u * self.n + w, return_counts=True)
         if (counts > 1).any():
-            raise ValueError(f"duplicate edge {tuple(pairs[np.argmax(counts > 1)].tolist())}")
-        isolated = np.flatnonzero(np.bincount(edges.ravel(), minlength=self.n) == 0)
+            raise ValueError(f"duplicate edge {divmod(int(keys[np.argmax(counts > 1)]), self.n)}")
+        for name, array in (("edges", edges), ("weights", weights)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        with np.errstate(over="ignore"):  # an overflowing degree sum is rejected, not warned
+            isolated, total = np.flatnonzero(self.degrees == 0), self.total_weight
         if self.n >= 2 and isolated.size:
-            raise ValueError(
-                "isolated nodes are not supported: "
-                + ", ".join(str(i) for i in isolated[:10])
-            )
-        edges.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", weights)
+            shown = ", ".join(map(str, isolated[:10]))
+            raise ValueError(f"isolated nodes are not supported: {shown}")
+        if not np.isfinite(total):
+            raise ValueError("total weight overflows: the weighted degrees sum past 1.8e308")
 
     @classmethod
     def from_edges(
@@ -86,13 +88,20 @@ class Graph:
         table = np.array(list(edges) or np.empty((0, 3)), dtype=float)
         if table.ndim != 2 or table.shape[1] != 3:
             raise ValueError("edges must be (u, w, weight) triples")
-        ends = _endpoints(table[:, :2])
-        pairs, inverse = np.unique(np.sort(ends, axis=1), axis=0, return_inverse=True)
-        weights = np.zeros(pairs.shape[0])
-        np.add.at(weights, inverse.ravel(), table[:, 2])
-        if n is None:
-            n = int(ends.max(initial=-1)) + 1
-        return cls(n, pairs, weights, tuple(ids) if ids is not None else ())
+        ends = np.sort(_endpoints(table[:, :2]), axis=1)
+        low, top = min(int(ends.min(initial=0)), 0), int(ends.max(initial=-1)) + 1
+        n = top if n is None else n
+        ids = tuple(ids) if ids is not None else ()
+        span = max(n, top) - low
+        # lo·span + hi over endpoints shifted to start at 0 orders pairs as (lo, hi) and is
+        # injective while span² ≤ 2⁶³ (n < 3.03e9); past that, Graph checks them unmerged.
+        if span * span > 2**63:
+            return cls(n, ends[np.lexsort(ends.T[::-1])], table[:, 2], ids)
+        key = (ends[:, 0] - low) * span + ends[:, 1] - low
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        pairs, weights = ends[first], np.bincount(inverse, weights=table[:, 2])
+        del table, ends, key, first, inverse  # Graph copies what it keeps: hold no more
+        return cls(n, pairs, weights, ids)
 
     @property
     def edge_count(self) -> int:
@@ -175,7 +184,7 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
     defaulting to 1. ``#`` starts a comment that runs to the end of the
     line. Node identifiers are arbitrary tokens and are assigned indices
     in order of first appearance. Repeated pairs (either orientation)
-    have their weights summed.
+    have their weights summed; an overflowing total is a ValueError.
 
     Raises
     ------
@@ -183,23 +192,13 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
         On a line with the wrong token count, an unparsable or
         non-positive weight, or a self-loop.
     """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    ids: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(token: str) -> int:
-        if token not in index:
-            index[token] = len(ids)
-            ids.append(token)
-        return index[token]
-
+    lines = lines.splitlines() if isinstance(lines, str) else lines
+    ids: dict[str, int] = {}  # index of each token, in first-appearance order
     edges: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = text.split()
         if len(tokens) < 2:
             raise FormatError(f"line {lineno}: expected '<src> <dst> [weight]', got {raw!r}")
         if len(tokens) > 3:
@@ -215,7 +214,7 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
                 raise FormatError(f"line {lineno}: bad weight {tokens[2]!r}") from None
             if not np.isfinite(weight) or weight <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive, got {tokens[2]}")
-        edges.append((intern(src), intern(dst), weight))
+        edges.append((ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)), weight))
     return Graph.from_edges(edges, n=len(ids), ids=ids)
 
 

@@ -408,6 +408,45 @@ def test_input_errors_exit_two(tmp_path):
     assert main(["spectrum", str(disconnected), "--sampler", "walk:2", "--output", out]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b 1e308\nb c 1e308\n", "total weight overflows: the weighted degrees sum past 1.8e308"),
+        ("a b 1e308\nb a 1e308\nb c 1\n", "edge (0, 1) has a non-finite or non-positive weight"),
+    ],
+    ids=["total", "merged-pair"],
+)
+def test_overflowing_weights_are_a_one_line_input_error(tmp_path, text, message):
+    graph = tmp_path / "huge.txt"
+    graph.write_text(text)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "modembed.cli", "embed", str(graph), "--dim", "1"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"input error: {message}\n"
+
+
+def test_negative_theta_in_exponent_form_is_a_value(tmp_path):
+    out = [tmp_path / "spaced.tsv", tmp_path / "joined.tsv"]
+    karate = str(DATA / "karate.txt")
+    argv = ["spectrum", karate, "--sampler", "expdist"]
+    assert main([*argv, "--theta", "-1e-3", "--output", str(out[0])]) == 0
+    assert main([*argv, "--theta=-1e-3", "--output", str(out[1])]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()
+
+
+def test_davis_fixture_embeds(tmp_path):
+    out = tmp_path / "davis.tsv"
+    assert main(["embed", str(DATA / "davis.txt"), "--dim", "2", "--output", str(out)]) == 0
+    head, body = read_table(out)
+    assert head == ["node", "dim_1", "dim_2"]
+    assert [row[0] for row in body][:3] == ["Evelyn_Jefferson", "E1", "E2"]
+    assert len(body) == 32
+
+
 def test_numerical_errors_exit_three(tmp_path, path3_file):
     out = str(tmp_path / "x.tsv")
     code = main(

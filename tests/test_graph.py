@@ -191,22 +191,79 @@ def test_float_endpoints_beyond_int64_rejected(far):
             Graph.from_edges([(far, 0, 1.0)])
 
 
+_PATH10 = [(i, i + 1, 1.0) for i in range(9)]
+
+
+@pytest.mark.parametrize(
+    "edges, n, first",
+    [
+        ([(5, 0, 1.0), (-1, 0, 1.0), (-3, 2, 1.0)], 6, (-3, 2)),
+        ([(-1, -2, 1.0), (-5, 0, 1.0)], None, (-5, 0)),
+        ([(0, 1, 1.0), (7, 2, 1.0), (9, 1, 1.0)], 5, (1, 9)),
+        # Past the pair key's range: 5·(2⁶² + 1) + 2⁶² wraps onto the key of (2, 3).
+        (_PATH10 + [(5, 2**62, 1.0)], 10, (5, 2**62)),
+        ([(0, 1, 1.0), (1, 2, 1.0), (5, 2**40, 1.0)], 3, (5, 2**40)),
+    ],
+    ids=["negative", "negative-no-n", "above-n", "key-would-wrap", "far-above-n"],
+)
+def test_out_of_range_endpoints_name_the_first_pair(edges, n, first):
+    with pytest.raises(ValueError, match=re.escape(f"edge {first} has an out-of-range endpoint")):
+        Graph.from_edges(edges, n=n)
+
+
 def test_whole_float_endpoints_accepted():
     g = Graph(3, np.array([[0.0, 1.0], [1.0, 2.0]]), [1.0, 2.0])
     assert g.edges.dtype == np.int64
     assert _triples(g) == ((0, 1, 1.0), (1, 2, 2.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "build",
     [
         lambda: Graph.from_edges([(0, 1, np.inf), (1, 2, 1.0)]),
         lambda: Graph(3, [[0, 1], [1, 2]], [1.0, np.inf]),
         lambda: Graph.from_edges([(0, 1, 1e308), (1, 0, 1e308)]),
+        lambda: load_edge_list("a b 1e308\nb a 1e308\nb c 1\n"),
     ],
-    ids=["from_edges", "init", "merged-overflow"],
+    ids=["from_edges", "init", "merged-overflow", "load_edge_list-merged-overflow"],
 )
 def test_infinite_weight_rejected(build):
-    with pytest.raises(ValueError, match="non-finite or non-positive weight"):
-        build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite or non-positive weight"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_edges([(0, 1, 1e308), (1, 2, 1e308)]),
+        lambda: Graph(3, [[0, 1], [1, 2]], [1e308, 1e308]),
+        lambda: load_edge_list("a b 1e308\nb c 1e308\n"),
+        # Every degree is finite here; only their sum overflows.
+        lambda: load_edge_list("a b 1e308\nc d 1e308\nb c 1\n"),
+    ],
+    ids=["from_edges", "init", "load_edge_list", "load_edge_list-finite-degrees"],
+)
+def test_overflowing_total_weight_rejected_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="total weight overflows"):
+            build()
+
+
+def test_large_finite_total_weight_accepted():
+    g = load_edge_list("a b 4e307\nb c 4e307\n")
+    assert g.total_weight == 1.6e308
+
+
+def test_davis_fixture_loads_in_first_appearance_order():
+    text = (Path(__file__).parent / "data" / "davis.txt").read_text()
+    g = load_edge_list(text)
+    tokens = [t for line in text.splitlines() if not line.startswith("#") for t in line.split()]
+    assert (g.n, g.edge_count) == (32, 89)
+    assert g.ids == tuple(dict.fromkeys(tokens))
+    event = np.array([re.fullmatch(r"E\d+", name) is not None for name in g.ids])
+    assert event.sum() == 14
+    assert (event[g.edges[:, 0]] != event[g.edges[:, 1]]).all()
+    assert (g.weights == 1.0).all()
