@@ -37,7 +37,7 @@ from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
 from .spectral import Embedding, eigenvalues, krylov_pays, reconstruct, select_dimension
-from .spectral import top_k_eigen
+from .spectral import top_k_eigen, top_spectrum
 
 
 class _UsageError(Exception):
@@ -173,8 +173,17 @@ def _spectrum(
 ) -> tuple[np.ndarray | None, int]:
     """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
     None), and k: a fixed ``--dim``, checked where the graph was read,
-    or the one auto picks."""
-    values = eigenvalues(q) if args.dim is None or args.emit_spectrum else None
+    or the one auto picks. Auto without a sidecar, on the edge and walk
+    operators, first tries ``top_spectrum``, the top values completed by
+    a bound; whatever it cannot settle, and every sidecar, reads the
+    dense ``eigenvalues``."""
+    if args.dim is not None and not args.emit_spectrum:
+        return None, args.dim
+    values = None
+    if not args.emit_spectrum and isinstance(q, CovarianceOperator):
+        values = top_spectrum(q)
+    if values is None:
+        values = eigenvalues(q)
     return values, args.dim or select_dimension(values, q.n)
 
 
@@ -225,9 +234,9 @@ def _id_rows(g: Graph) -> list[tuple]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    values, k = _spectrum(args, _covariance(args, g))
-    _write_tsv(args.output, _spectrum_rows(values, k))
+    q = _covariance(args, _load_graph(args))
+    values = eigenvalues(q)
+    _write_tsv(args.output, _spectrum_rows(values, select_dimension(values, q.n)))
     return 0
 
 

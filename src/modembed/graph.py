@@ -39,9 +39,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("node count must be nonnegative")
-        if not self.ids:
-            object.__setattr__(self, "ids", tuple(str(i) for i in range(self.n)))
-        if len(self.ids) != self.n:
+        if self.ids and len(self.ids) != self.n:
             raise ValueError("ids must have one entry per node")
         edges = _endpoints(self.edges)
         weights = np.array(self.weights, dtype=float)
@@ -71,6 +69,8 @@ class Graph:
             raise ValueError(f"isolated nodes are not supported: {shown}")
         if not np.isfinite(total):
             raise ValueError("total weight overflows: the weighted degrees sum past 1.8e308")
+        if not self.ids:  # last, so a bad edge table fails before n strings are built
+            object.__setattr__(self, "ids", tuple(str(i) for i in range(self.n)))
 
     @classmethod
     def from_edges(
@@ -199,10 +199,11 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        if len(tokens) < 2:
-            raise FormatError(f"line {lineno}: expected '<src> <dst> [weight]', got {raw!r}")
-        if len(tokens) > 3:
-            raise FormatError(f"line {lineno}: too many fields in {raw!r}")
+        if not 2 <= len(tokens) <= 3:
+            line = raw.rstrip("\r\n")  # quoted as in a string input: no line break
+            if len(tokens) < 2:
+                raise FormatError(f"line {lineno}: expected '<src> <dst> [weight]', got {line!r}")
+            raise FormatError(f"line {lineno}: too many fields in {line!r}")
         src, dst = tokens[0], tokens[1]
         if src == dst:
             raise FormatError(f"line {lineno}: self-loop on node {src!r}")

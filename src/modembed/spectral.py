@@ -29,6 +29,10 @@ _SIGN_TOL = 1e-12
 _RESIDUAL_BOUND = 1e-8
 _ORTHO_TOL = 1e-10
 _SPECTRUM_ULPS = 16  # times n * eps: the roundoff of n-term sums
+# The smallest pair: 40 restarts of a 32-vector basis, about 670 products. On the
+# 2000- and 3200-node planted graphs every edge and walk covariance whose smallest
+# pair converged at all needed at most 465.
+_BOTTOM_RESTARTS, _BOTTOM_BASIS = 40, 32
 
 
 # ===================================================================
@@ -118,34 +122,42 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _power_top_k(
-    m: "np.ndarray | Covariance", n: int, k: int, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos(
+    m: "np.ndarray | Covariance", n: int, k: int, max_iter: int,
+    which: str = "LA", vectors: bool = True, ncv: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """ARPACK's implicitly restarted Lanczos iteration for 1 <= k < n pairs.
 
-    m is touched only through products with one vector. The start
-    vector, and any fresh vector ARPACK draws when its Krylov space
-    closes on an invariant subspace, come from one fixed-seed generator,
-    so reruns give the same bytes. ``max_iter`` caps the restarts.
+    ``which`` is "LA" for the algebraically largest k, "SA" for the
+    smallest; values come back descending, with their vectors unless
+    ``vectors`` is false. m is touched only through products with one
+    vector. The start vector, and any fresh vector ARPACK draws when its
+    Krylov space closes on an invariant subspace, come from one
+    fixed-seed generator, so reruns give the same bytes. ``max_iter``
+    caps the restarts, and ``ncv`` sets the Krylov basis size (ARPACK's
+    default when None).
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     rng = np.random.default_rng(0x5EED)
     op = LinearOperator((n, n), matvec=m.__matmul__, dtype=float)
     try:
-        values, vectors = eigsh(
-            op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng, maxiter=max_iter
-        )
+        out = eigsh(op, k, which=which, v0=rng.uniform(-1.0, 1.0, n), rng=rng,
+                    maxiter=max_iter, ncv=ncv, return_eigenvectors=vectors)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos iteration failed: {exc}") from exc
-    return values[::-1], vectors[:, ::-1]
+    if not vectors:
+        return np.sort(out)[::-1], None
+    return out[0][::-1], out[1][:, ::-1]
 
 
 def krylov_pays(k: int, n: int) -> bool:
     """Whether the Lanczos route should beat the dense one for k of n pairs.
 
     The command line asks this for a fixed ``--dim`` and for the k that
-    ``--dim auto`` picks. The rule, 144 (k + 2) <= n, was measured for an
+    ``--dim auto`` picks. It also bounds the number j of top eigenvalues
+    ``top_spectrum`` computes, so that early stop never runs below 1440
+    nodes (j = 8). The rule, 144 (k + 2) <= n, was measured for an
     earlier block Krylov solver; ARPACK beat that solver on every input
     measured, at k = 64 of 3200 nodes too, so it errs towards the dense route.
     """
@@ -192,7 +204,7 @@ def top_k_eigen(
         raise ValueError(f"unknown eigensolver method {method!r}")
     norm = m.norm_bound if checked else float(np.max(np.abs(m).sum(axis=1)))
     if method == "power" and k < n and norm > 0:
-        values, vectors = _power_top_k(m, n, k, max_iter)
+        values, vectors = _lanczos(m, n, k, max_iter)
     else:
         m = getattr(m, "q", m)
         values, vectors = np.linalg.eigh(m)
@@ -247,6 +259,56 @@ def select_dimension(values: Sequence[float] | np.ndarray, k_max: int) -> int:
     floor = values.size * np.finfo(float).eps * np.abs(values).max()
     gaps = np.where(values[:upper - 1] > floor, values[:upper - 1] - values[1:upper], -np.inf)
     return int(np.argmax(gaps)) + 1 if gaps.size else 1
+
+
+def top_spectrum(q: "Covariance") -> np.ndarray | None:
+    """The top of Q's spectrum, completed to n values, when that settles
+    ``select_dimension(values, n)``; otherwise None.
+
+    ARPACK computes the top j = 8, 16, ... eigenvalues while
+    ``krylov_pays(j, n)``. Q 1 = 0, so lambda_min <= 0, and no gap past
+    lambda_j exceeds lambda_j - lambda_min. So once the best gap among
+    the top j is strictly larger than lambda_j - L for a lower bound L
+    on lambda_min, and lambda_j lies above select_dimension's roundoff
+    floor, no gap further down can tie it, and the top j padded with L
+    (the worst-case rest of the spectrum) give the k the whole spectrum
+    gives. L = theta - ||Q v - theta v|| comes from one ARPACK solve for
+    the smallest pair, capped at _BOTTOM_RESTARTS, and it runs only once
+    the best gap exceeds lambda_j, since before that no L <= 0 can
+    settle j. Both solves trust ARPACK's converged Ritz values to be the
+    extreme ones.
+
+    None below 1440 nodes (``krylov_pays(8, n)`` fails), when the
+    smallest pair does not converge within the cap, or when no j settles:
+    the caller then reads the dense spectrum.
+    """
+    n, j, lower = q.n, 8, None
+    try:
+        while krylov_pays(j, n):
+            top = _lanczos(q, n, j, 10000, vectors=False)[0]
+            if np.max(top[:-1] - top[1:]) > top[-1]:  # else no L <= 0 can settle j
+                if lower is None:
+                    theta, v = _lanczos(q, n, 1, _BOTTOM_RESTARTS, "SA", ncv=_BOTTOM_BASIS)
+                    residual = np.linalg.norm(q @ v[:, 0] - theta[0] * v[:, 0])
+                    lower = min(0.0, float(theta[0] - residual))
+                padded = _completion(top, lower, n)
+                if padded is not None:
+                    return padded
+            j *= 2
+    except NumericalError:  # a solve did not converge: the dense spectrum decides
+        pass
+    return None
+
+
+def _completion(top: np.ndarray, lower: float, n: int) -> np.ndarray | None:
+    """``top`` padded to n values with ``lower``, when its best gap is
+    strictly larger than ``top[-1] - lower`` and ``top[-1]`` lies above
+    select_dimension's floor; otherwise None."""
+    padded = np.concatenate([top, np.full(n - top.size, lower)])
+    floor = n * np.finfo(float).eps * np.abs(padded).max()
+    if top[-1] > floor and np.max(top[:-1] - top[1:]) > top[-1] - lower:
+        return padded
+    return None
 
 
 # ===================================================================

@@ -851,3 +851,26 @@ def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == g.n + 1
+
+
+def test_auto_walk_classify_forms_no_dense_q(tmp_path, monkeypatch):
+    """classify --sampler walk:3 --dim auto on 1440 nodes settles k from
+    the top of the spectrum: the operator never caches a dense Q, and
+    the report is byte for byte the one the dense spectrum gives."""
+    g, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
+    operators = []
+    build = cli._covariance
+
+    def record(*args):
+        operators.append(build(*args))
+        return operators[-1]
+
+    monkeypatch.setattr(cli, "_covariance", record)
+    argv = ["classify", graph_path, label_path, "--sampler", "walk:3", "--dim", "auto"]
+    fast, dense = tmp_path / "fast.tsv", tmp_path / "dense.tsv"
+    assert main(argv + ["--output", str(fast)]) == 0
+    assert "q" not in vars(operators[0])
+    monkeypatch.setattr(cli, "top_spectrum", lambda q: None)
+    assert main(argv + ["--output", str(dense)]) == 0
+    assert "q" in vars(operators[1])
+    assert fast.read_bytes() == dense.read_bytes()

@@ -1,6 +1,7 @@
 """Graph construction, edge-list parsing, Laplacian, connectivity."""
 
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -50,6 +51,22 @@ def test_parse_reports_line_number():
         load_edge_list("# comment\na b\nc c")
 
 
+@pytest.mark.parametrize("text", ["a b\nc\n", "a b\nc d e f\n", "a b\r\nc\r\n"])
+def test_parse_error_quotes_a_file_line_as_the_string_line(tmp_path, text):
+    """A line read from a file is quoted without its line break, as the
+    same text passed as a string is."""
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(FormatError) as info:
+        load_edge_list(text)
+    expected = str(info.value)
+    assert "\\n" not in expected and "\\r" not in expected
+    for newline in (None, ""):  # universal newlines, and line breaks kept as written
+        with open(path, newline=newline) as fh, pytest.raises(FormatError) as info:
+            load_edge_list(fh)
+        assert str(info.value) == expected
+
+
 def test_comments_and_blank_lines_ignored():
     g = load_edge_list("# header\n\na b 1.5\nb c\n")
     assert _triples(g) == ((0, 1, 1.5), (1, 2, 1.0))
@@ -71,6 +88,25 @@ def test_from_edges_canonical_order():
 def test_from_edges_merges_reversed_duplicates():
     g = Graph.from_edges([(0, 1, 1.5), (1, 0, 2.5)])
     assert _triples(g) == ((0, 1, 4.0),)
+
+
+def test_duplicate_edge_raises_before_default_ids_are_built():
+    """The ten million default id strings would take hundreds of MB; a
+    duplicate edge is reported without building them."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape("duplicate edge (0, 5)")):
+            Graph(10**7, [[0, 5], [1, 2], [0, 5]], [1.0] * 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def test_default_ids_are_the_indices():
+    assert Graph(3, [[0, 1], [1, 2]], [1.0, 1.0]).ids == ("0", "1", "2")
+    with pytest.raises(ValueError, match="one entry per node"):
+        Graph(3, [[0, 1], [1, 2]], [1.0, 1.0], ids=("a", "b"))
 
 
 def test_isolated_node_rejected():

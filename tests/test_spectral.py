@@ -445,3 +445,93 @@ def test_eigenvalues_reject_a_perturbed_spectrum(tmp_path, monkeypatch, kept):
     with pytest.raises(NumericalError, match="squared norm"):
         eigenvalues(CovarianceOperator(_karate()))
     assert main(["spectrum", str(KARATE), "--output", str(tmp_path / "spec.tsv")]) == 3
+
+
+# ===================================================================
+# Early stop for --dim auto: the top of the spectrum plus a bound
+# ===================================================================
+
+
+@pytest.fixture(scope="module")
+def planted_1440():
+    """Eight blocks of 180: the smallest n where krylov_pays(8, n) holds."""
+    return planted_partition(8, 180, 0.1, 0.002, seed=0, ensure_connected=True)[0]
+
+
+@pytest.mark.parametrize(
+    ("length", "exact"), [(2, False), (3, False), (5, False), (8, False), (3, True)]
+)
+def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
+    """On walk covariances the best gap among the top 8 values beats
+    lambda_8 - lambda_min, and the padded values pick the dense k."""
+    g = planted_1440
+    q = walk_covariance(g, length, exact_length=exact)
+    values = spectral.top_spectrum(q)
+    assert "q" not in vars(q)  # no dense Q was formed
+    assert values is not None and values.shape == (g.n,)
+    assert select_dimension(values, g.n) == select_dimension(eigenvalues(q), g.n)
+
+
+@pytest.mark.parametrize("case", ["edge", "exact-walk:2", "small"])
+def test_top_spectrum_gives_up(planted_1440, case):
+    """Edge sampling's |lambda_min| is too large for the bound; exact
+    walk:2 puts lambda_min inside a cluster at zero, where the smallest
+    pair does not converge; below 1440 nodes no j = 8 pays."""
+    if case == "edge":
+        q = CovarianceOperator(planted_1440)
+    elif case == "exact-walk:2":
+        q = walk_covariance(planted_1440, 2, exact_length=True)
+    else:
+        small, _ = planted_partition(8, 179, 0.1, 0.002, seed=0, ensure_connected=True)
+        q = walk_covariance(small, 3)
+    assert spectral.top_spectrum(q) is None
+
+
+class _PlantedSpectrum:
+    """Q = H diag(values) H for the Householder reflection H swapping e_1
+    and 1/sqrt(n), so values[0] must be 0 and Q 1 = 0."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.n = self.values.size
+        self.u = -np.full(self.n, 1 / np.sqrt(self.n))
+        self.u[0] += 1.0
+        self.u /= np.linalg.norm(self.u)
+
+    def _reflect(self, x):
+        return x - 2.0 * self.u * (self.u @ x)
+
+    def __matmul__(self, x):
+        return self._reflect(self.values * self._reflect(x))
+
+
+@pytest.mark.parametrize("margin", [1e-6, -1e-6])
+def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin):
+    """Top values 1, .98, .96, .5, ..., .42 have their best gap, 0.46, at
+    k = 3, and lambda_8 = 0.42. With lambda_min = -0.04 + margin the gap
+    beats lambda_8 - lambda_min for a positive margin only; n = 1440
+    allows no j = 16, so otherwise the answer is None."""
+    top = [1.0, 0.98, 0.96, 0.5, 0.48, 0.46, 0.44, 0.42]
+    bulk = np.linspace(0.3, -0.02, 1440 - 10)
+    q = _PlantedSpectrum(np.concatenate([[0.0], top, bulk, [-0.04 + margin]]))
+    assert np.abs(q @ np.ones(q.n)).max() <= 1e-14
+    values = spectral.top_spectrum(q)
+    if margin < 0:
+        assert values is None
+        return
+    np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
+    assert np.all(values[8:] == values[-1])
+    assert -0.04 + margin - 1e-12 <= values[-1] <= -0.04 + margin
+    assert select_dimension(values, q.n) == 3
+
+
+def test_completion_breaks_ties_towards_the_smallest_k():
+    """Dyadic values, so every comparison is exact: gaps of 2 at k = 1
+    and k = 4 tie and k = 1 wins; a bound that makes lambda_8 - L equal
+    to the best gap settles nothing, since a later gap could tie it."""
+    top = np.array([5.0, 3.0, 2.75, 2.5, 0.5, 0.375, 0.25, 0.125])
+    padded = spectral._completion(top, -1.0, 100)
+    assert padded.shape == (100,) and np.all(padded[8:] == -1.0)
+    assert select_dimension(padded, 100) == 1
+    assert spectral._completion(top, -1.875, 100) is None
+    assert spectral._completion(top, -1.75, 100) is not None
