@@ -8,7 +8,10 @@ semi-supervised classifier. Q is read as B + L R^T, with the self pair
 subtracted rather than zeroed in a copy: B dense (not copied), the edge
 covariance's sparse A/2m with L = -p_u and R = p_u, or an embedding H
 with L = R = H and no B. G = R^T h is kept current as rows change, like
-Louvain's community degree sums (Blondel et al. 2008).
+Louvain's community degree sums (Blondel et al. 2008). As Louvain stops
+revisiting nodes that cannot move, a sweep skips every row with a single
+positive entry: the update maps it to itself, and a row's support never
+grows back. Labeled rows are such one-hot rows from the start.
 """
 
 from __future__ import annotations
@@ -164,15 +167,18 @@ def softmax_sweep(
 ) -> np.ndarray:
     """One full pass of in-place node updates in ascending index order.
 
-    Rows flagged in ``clamped`` are skipped untouched. Each update sees
-    the rows already rewritten earlier in the same sweep.
+    Rows with a single positive entry are fixed points of the update and
+    are skipped, as are rows flagged in ``clamped``; the live rows are
+    chosen once, at the start of the sweep. Each update sees the rows
+    already rewritten earlier in the same sweep.
     """
     f = q if isinstance(q, _Form) else _form(q)
     row, theta = _row_product(f.b), theta * f.scale
     g = None if f.left is None else f.right.T @ h
-    for u in range(h.shape[0]):
-        if clamped is not None and clamped[u]:
-            continue
+    live = (h > 0).sum(axis=1) > 1
+    if clamped is not None:
+        live &= ~np.asarray(clamped, dtype=bool)
+    for u in np.flatnonzero(live).tolist():
         old, z = h[u].copy(), row(u, h) - f.diag[u] * h[u]
         _reweight(h, u, z if g is None else z + f.left[u] @ g, theta)
         if g is not None:
@@ -191,13 +197,12 @@ def _run_sweeps(
     theta: float,
     max_sweeps: int,
     tol: float,
-    clamped: np.ndarray,
 ) -> StochasticEmbedding:
     history = [softmax_objective(q, h)]
     converged = False
     sweeps = 0
     for _ in range(max_sweeps):
-        softmax_sweep(q, h, theta, clamped)
+        softmax_sweep(q, h, theta)
         sweeps += 1
         obj = softmax_objective(q, h)
         history.append(obj)
@@ -275,7 +280,6 @@ def softmax_classify(
         theta = float(n * n)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    clamped = np.zeros(n, dtype=bool)
     rng = np.random.default_rng(seed)
     h = _perturbed_uniform(n, k, rng)
     for node, cls in labels.items():
@@ -285,8 +289,7 @@ def softmax_classify(
             raise ValueError(f"label {cls} out of range for k={k}")
         h[node] = 0.0
         h[node, cls] = 1.0
-        clamped[node] = True
-    return _run_sweeps(form, h, theta, max_sweeps, tol, clamped)
+    return _run_sweeps(form, h, theta, max_sweeps, tol)
 
 
 def hard_assign(embedding: StochasticEmbedding | Embedding | np.ndarray) -> Partition:

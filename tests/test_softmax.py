@@ -28,6 +28,7 @@ from modembed import (
     walk_covariance,
     zero_diagonal,
 )
+from modembed import softmax
 from modembed.softmax import _form, _off_diagonal_max
 
 from helpers import barbell, random_zero_diag_symmetric, set_partitions
@@ -138,6 +139,27 @@ def test_clamped_rows_are_bit_identical():
         softmax_sweep(q, h, theta=100.0, clamped=clamped)
     assert np.array_equal(h[2], frozen2)
     assert np.array_equal(h[7], frozen7)
+
+
+@pytest.mark.parametrize("form", ["dense", "edge", "embedding"])
+def test_sweep_skips_one_hot_rows(monkeypatch, form):
+    """A row with one positive entry is a fixed point of the update, so a
+    sweep over an all-one-hot h re-weights no row and leaves h as it was."""
+    g = barbell()
+    op = CovarianceOperator(g)
+    q = {"dense": op.q, "edge": op, "embedding": Embedding(h=top_k_eigen(op.q, 2).vectors)}
+    h = np.eye(3)[np.arange(g.n) % 3]
+    before = h.copy()
+    calls, reweight = [], softmax._reweight
+
+    def counted(h, u, z, theta):
+        calls.append(u)
+        reweight(h, u, z, theta)
+
+    monkeypatch.setattr(softmax, "_reweight", counted)
+    softmax_sweep(q[form], h, theta=100.0)
+    assert calls == []
+    assert np.array_equal(h, before)
 
 
 def test_cluster_zero_matrix_returns_initial_state():
@@ -304,15 +326,20 @@ def _labels(n, k, clamp):
     return {u: int(rng.integers(k)) for u in range(0, n, 5)} if clamp else {}
 
 
-@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+@pytest.mark.parametrize(
+    ("normalize", "theta_n2"),
+    [(False, 1), (True, 1), (False, 100), (True, 100)],
+    ids=["raw", "normalize", "raw-theta-100n2", "normalize-theta-100n2"],
+)
 @pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
 @pytest.mark.parametrize("name", sorted(_GRAPHS))
-def test_forms_match_the_zero_diagonal_dense_path(name, clamp, normalize):
+def test_forms_match_the_zero_diagonal_dense_path(name, clamp, normalize, theta_n2):
     """The edge operator, the dense q with its diagonal, the walk
     operator and an embedding H (against HH^T) give the hard assignments
     of the dense path on zero_diagonal(q), divided by its largest |q|
     under normalize, with histories within 1e-12 * max(1, |objective|),
-    over a fixed number of sweeps."""
+    over a fixed number of sweeps. At theta = 100 n^2 rows collapse to
+    one-hot within the run, and later sweeps skip them."""
     g = _GRAPHS[name]()
     k = 3
     labels = _labels(g.n, k, clamp)
@@ -325,7 +352,7 @@ def test_forms_match_the_zero_diagonal_dense_path(name, clamp, normalize):
     ]
     for q, dense in cases:
         # tol=-1 never stops the ascent, so both runs make ten sweeps
-        run = dict(seed=7, max_sweeps=10, tol=-1.0)
+        run = dict(theta=theta_n2 * g.n**2, seed=7, max_sweeps=10, tol=-1.0)
         q0 = zero_diagonal(dense)
         want = softmax_classify(q0 / np.max(np.abs(q0)) if normalize else q0, labels, k, **run)
         got = softmax_classify(q, labels, k, normalize=normalize, **run)
