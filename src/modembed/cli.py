@@ -174,9 +174,9 @@ def _spectrum(
     """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
     None), and k: a fixed ``--dim``, checked where the graph was read,
     or the one auto picks. Auto without a sidecar, on the edge and walk
-    operators, first tries ``top_spectrum``, the top values completed by
-    a bound; whatever it cannot settle, and every sidecar, reads the
-    dense ``eigenvalues``."""
+    operators, first tries ``top_spectrum``, the top values padded with
+    Q's exact zero eigenvalue less a roundoff allowance; whatever it
+    cannot settle, and every sidecar, reads the dense ``eigenvalues``."""
     if args.dim is not None and not args.emit_spectrum:
         return None, args.dim
     values = None
@@ -191,7 +191,7 @@ def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray
     """The top k eigenvectors of Q from one solve: ARPACK's Lanczos
     iteration when ``krylov_pays(k, n)``, on the edge and walk operators
     without a dense Q, otherwise the dense decomposition."""
-    return top_k_eigen(q, k, method="power" if krylov_pays(k, q.n) else "dense").vectors
+    return top_k_eigen(q, k, method="lanczos" if krylov_pays(k, q.n) else "dense").vectors
 
 
 # ===================================================================

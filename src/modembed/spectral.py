@@ -29,10 +29,6 @@ _SIGN_TOL = 1e-12
 _RESIDUAL_BOUND = 1e-8
 _ORTHO_TOL = 1e-10
 _SPECTRUM_ULPS = 16  # times n * eps: the roundoff of n-term sums
-# The smallest pair: 40 restarts of a 32-vector basis, about 670 products. On the
-# 2000- and 3200-node planted graphs every edge and walk covariance whose smallest
-# pair converged at all needed at most 465.
-_BOTTOM_RESTARTS, _BOTTOM_BASIS = 40, 32
 
 
 # ===================================================================
@@ -123,27 +119,24 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def _lanczos(
-    m: "np.ndarray | Covariance", n: int, k: int, max_iter: int,
-    which: str = "LA", vectors: bool = True, ncv: int | None = None,
+    m: "np.ndarray | Covariance", n: int, k: int, max_iter: int, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """ARPACK's implicitly restarted Lanczos iteration for 1 <= k < n pairs.
+    """ARPACK's implicitly restarted Lanczos iteration for the algebraically
+    largest k of n pairs, 1 <= k < n.
 
-    ``which`` is "LA" for the algebraically largest k, "SA" for the
-    smallest; values come back descending, with their vectors unless
-    ``vectors`` is false. m is touched only through products with one
-    vector. The start vector, and any fresh vector ARPACK draws when its
-    Krylov space closes on an invariant subspace, come from one
-    fixed-seed generator, so reruns give the same bytes. ``max_iter``
-    caps the restarts, and ``ncv`` sets the Krylov basis size (ARPACK's
-    default when None).
+    Values come back descending, with their vectors unless ``vectors`` is
+    false. m is touched only through products with one vector. The start
+    vector, and any fresh vector ARPACK draws when its Krylov space
+    closes on an invariant subspace, come from one fixed-seed generator,
+    so reruns give the same bytes. ``max_iter`` caps the restarts.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     rng = np.random.default_rng(0x5EED)
     op = LinearOperator((n, n), matvec=m.__matmul__, dtype=float)
     try:
-        out = eigsh(op, k, which=which, v0=rng.uniform(-1.0, 1.0, n), rng=rng,
-                    maxiter=max_iter, ncv=ncv, return_eigenvectors=vectors)
+        out = eigsh(op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng,
+                    maxiter=max_iter, return_eigenvectors=vectors)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos iteration failed: {exc}") from exc
     if not vectors:
@@ -155,11 +148,12 @@ def krylov_pays(k: int, n: int) -> bool:
     """Whether the Lanczos route should beat the dense one for k of n pairs.
 
     The command line asks this for a fixed ``--dim`` and for the k that
-    ``--dim auto`` picks. It also bounds the number j of top eigenvalues
-    ``top_spectrum`` computes, so that early stop never runs below 1440
-    nodes (j = 8). The rule, 144 (k + 2) <= n, was measured for an
-    earlier block Krylov solver; ARPACK beat that solver on every input
-    measured, at k = 64 of 3200 nodes too, so it errs towards the dense route.
+    ``--dim auto`` picks. It also caps the number j of top eigenvalues
+    ``top_spectrum`` computes, one values-only solve per j, so that early
+    stop never runs below 1440 nodes (j = 8). The rule, 144 (k + 2) <= n,
+    was measured for an earlier block Krylov solver; ARPACK beat that
+    solver on every input measured, at k = 64 of 3200 nodes too, so it
+    errs towards the dense route.
     """
     return 144 * (k + 2) <= n
 
@@ -183,8 +177,8 @@ def top_k_eigen(
         Cap on the number of ARPACK restarts for the iterative route,
         which runs to machine precision.
     method : str
-        "dense" for a full LAPACK decomposition, "power" for ARPACK's
-        implicitly restarted Lanczos iteration. The power route solves
+        "dense" for a full LAPACK decomposition, "lanczos" for ARPACK's
+        implicitly restarted Lanczos iteration. The Lanczos route solves
         densely when ARPACK cannot: for k == n, or for a matrix whose
         inf-norm (``norm_bound`` for a covariance) is zero.
 
@@ -200,10 +194,10 @@ def top_k_eigen(
     n = m.n if checked else m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    if method not in ("dense", "power"):
+    if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     norm = m.norm_bound if checked else float(np.max(np.abs(m).sum(axis=1)))
-    if method == "power" and k < n and norm > 0:
+    if method == "lanczos" and k < n and norm > 0:
         values, vectors = _lanczos(m, n, k, max_iter)
     else:
         m = getattr(m, "q", m)
@@ -266,48 +260,36 @@ def top_spectrum(q: "Covariance") -> np.ndarray | None:
     ``select_dimension(values, n)``; otherwise None.
 
     ARPACK computes the top j = 8, 16, ... eigenvalues while
-    ``krylov_pays(j, n)``. Q 1 = 0, so lambda_min <= 0, and no gap past
-    lambda_j exceeds lambda_j - lambda_min. So once the best gap among
-    the top j is strictly larger than lambda_j - L for a lower bound L
-    on lambda_min, and lambda_j lies above select_dimension's roundoff
-    floor, no gap further down can tie it, and the top j padded with L
-    (the worst-case rest of the spectrum) give the k the whole spectrum
-    gives. L = theta - ||Q v - theta v|| comes from one ARPACK solve for
-    the smallest pair, capped at _BOTTOM_RESTARTS, and it runs only once
-    the best gap exceeds lambda_j, since before that no L <= 0 can
-    settle j. Both solves trust ARPACK's converged Ritz values to be the
-    extreme ones.
+    ``krylov_pays(j, n)``. Q 1 = 0, so 0 is an exact eigenvalue of Q; let
+    tau = n eps ||Q||_inf (``norm_bound``), which bounds select_dimension's
+    floor n eps max|lambda| from above and allows for roundoff in the
+    computed zero. A candidate position past j holds a value above the
+    floor, so the computed zero lies further down, the value after it is
+    at least that zero, hence at least -tau, and its gap is at most
+    lambda_j + tau: the negative spectrum never enters. So once
+    lambda_j > tau and the best gap among the top j is strictly larger
+    than lambda_j + tau, no gap further down can tie it, and the top j
+    padded with -tau give the k the whole spectrum gives.
 
-    None below 1440 nodes (``krylov_pays(8, n)`` fails), when the
-    smallest pair does not converge within the cap, or when no j settles:
-    the caller then reads the dense spectrum.
+    Exactly: the result equals ``select_dimension(eigenvalues(q), n)``
+    whenever the dense solver's copy of the zero eigenvalue lies in
+    [-tau, floor], the premise the floor already rests on, and ARPACK's
+    converged Ritz values are the top j.
+
+    None below 1440 nodes (``krylov_pays(8, n)`` fails), when a solve
+    does not converge, or when no j settles: the caller then reads the
+    dense spectrum.
     """
-    n, j, lower = q.n, 8, None
+    n, j = q.n, 8
+    tau = n * np.finfo(float).eps * q.norm_bound
     try:
         while krylov_pays(j, n):
             top = _lanczos(q, n, j, 10000, vectors=False)[0]
-            if np.max(top[:-1] - top[1:]) > top[-1]:  # else no L <= 0 can settle j
-                if lower is None:
-                    theta, v = _lanczos(q, n, 1, _BOTTOM_RESTARTS, "SA", ncv=_BOTTOM_BASIS)
-                    residual = np.linalg.norm(q @ v[:, 0] - theta[0] * v[:, 0])
-                    lower = min(0.0, float(theta[0] - residual))
-                padded = _completion(top, lower, n)
-                if padded is not None:
-                    return padded
+            if top[-1] > tau and np.max(top[:-1] - top[1:]) > top[-1] + tau:
+                return np.concatenate([top, np.full(n - j, -tau)])
             j *= 2
     except NumericalError:  # a solve did not converge: the dense spectrum decides
         pass
-    return None
-
-
-def _completion(top: np.ndarray, lower: float, n: int) -> np.ndarray | None:
-    """``top`` padded to n values with ``lower``, when its best gap is
-    strictly larger than ``top[-1] - lower`` and ``top[-1]`` lies above
-    select_dimension's floor; otherwise None."""
-    padded = np.concatenate([top, np.full(n - top.size, lower)])
-    floor = n * np.finfo(float).eps * np.abs(padded).max()
-    if top[-1] > floor and np.max(top[:-1] - top[1:]) > top[-1] - lower:
-        return padded
     return None
 
 

@@ -562,9 +562,9 @@ def _write_large_planted(tmp_path, blocks, size):
 @pytest.mark.parametrize(
     ("graph", "flags", "expected"),
     [
-        ("large", ["embed", "--dim", "2"], [(2, "power")]),
-        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "power")]),
-        ("large", ["classify", "--dim", "2"], [(2, "power")]),
+        ("large", ["embed", "--dim", "2"], [(2, "lanczos")]),
+        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "lanczos")]),
+        ("large", ["classify", "--dim", "2"], [(2, "lanczos")]),
         ("planted", ["embed", "--dim", "2"], [(2, "dense")]),
         ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "dense")]),
         ("barbell", ["embed", "--dim", "2"], [(2, "dense")]),
@@ -598,13 +598,13 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
 @pytest.mark.parametrize(
     ("flags", "expected", "sample"),
     [
-        ([], [("CovarianceOperator", 2, "power")], edge_sampling),
-        (["--sampler", "walk:3"], [("CovarianceOperator", 2, "power")],
+        ([], [("CovarianceOperator", 2, "lanczos")], edge_sampling),
+        (["--sampler", "walk:3"], [("CovarianceOperator", 2, "lanczos")],
          lambda g: random_walk_sampling(g, 3)),
-        (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "power")],
+        (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "lanczos")],
          lambda g: random_walk_sampling(g, 3, exact_length=True)),
-        (["--emit-spectrum"], [("CovarianceOperator", 2, "power")], edge_sampling),
-        (["--sampler", "expdist"], [("ModularityMatrix", 2, "power")], None),
+        (["--emit-spectrum"], [("CovarianceOperator", 2, "lanczos")], edge_sampling),
+        (["--sampler", "expdist"], [("ModularityMatrix", 2, "lanczos")], None),
     ],
     ids=["edge", "walk", "walk-exact", "edge-sidecar", "expdist"],
 )
@@ -739,7 +739,7 @@ def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
     out, with_sidecar = tmp_path / "emb.tsv", tmp_path / "emb_sidecar.tsv"
     calls = _record_eigen_calls(monkeypatch)
     assert main(["embed", graph_path, "--dim", "4", "--output", str(out)]) == 0
-    assert calls == [(4, "power")]
+    assert calls == [(4, "lanczos")]
     argv = ["embed", graph_path, "--dim", "4", "--output", str(with_sidecar)]
     assert main(argv + ["--emit-spectrum", str(tmp_path / "spec.tsv")]) == 0
     assert out.read_bytes() == with_sidecar.read_bytes()
@@ -786,7 +786,7 @@ def test_auto_dimension_takes_the_krylov_route(tmp_path, monkeypatch, sampler):
     sampled = edge_sampling(g) if sampler == "edge" else random_walk_sampling(g, 3)
     q = modularity_matrix(sampled).q
     k = select_dimension(np.linalg.eigvalsh(q)[::-1], g.n)
-    assert krylov_pays(k, g.n) and calls == [(k, "power")]
+    assert krylov_pays(k, g.n) and calls == [(k, "lanczos")]
     assert spec.read_text().splitlines()[-1] == f"# selected_k\t{k}"
     _, body = read_table(out)
     h = np.zeros((g.n, k))
@@ -853,10 +853,14 @@ def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
     assert outputs[0].count(b"\n") == g.n + 1
 
 
-def test_auto_walk_classify_forms_no_dense_q(tmp_path, monkeypatch):
-    """classify --sampler walk:3 --dim auto on 1440 nodes settles k from
-    the top of the spectrum: the operator never caches a dense Q, and
-    the report is byte for byte the one the dense spectrum gives."""
+@pytest.mark.parametrize(
+    "sampler", [["walk:3"], ["walk:2", "--exact-length"], ["edge"]],
+    ids=["walk:3", "exact-walk:2", "edge"],
+)
+def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):
+    """classify --dim auto on 1440 nodes settles k from the top of the
+    spectrum: the operator never caches a dense Q, and the report is
+    byte for byte the one the dense spectrum gives."""
     g, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
     operators = []
     build = cli._covariance
@@ -866,7 +870,7 @@ def test_auto_walk_classify_forms_no_dense_q(tmp_path, monkeypatch):
         return operators[-1]
 
     monkeypatch.setattr(cli, "_covariance", record)
-    argv = ["classify", graph_path, label_path, "--sampler", "walk:3", "--dim", "auto"]
+    argv = ["classify", graph_path, label_path, "--sampler", *sampler, "--dim", "auto"]
     fast, dense = tmp_path / "fast.tsv", tmp_path / "dense.tsv"
     assert main(argv + ["--output", str(fast)]) == 0
     assert "q" not in vars(operators[0])

@@ -1,6 +1,7 @@
 """Eigendecomposition routes, gap rule, embeddings, and both objectives."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_power_route_matches_dense_on_random_matrix():
     m = rng.standard_normal((30, 30))
     m = 0.5 * (m + m.T)
     dense = top_k_eigen(m, 5, method="dense")
-    power = top_k_eigen(m, 5, method="power")
+    power = top_k_eigen(m, 5, method="lanczos")
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-9)
     for j in range(5):
         angle = largest_principal_angle(
@@ -104,7 +105,7 @@ def test_power_route_handles_degenerate_pair():
     two-dimensional eigenspace must agree as a subspace."""
     q = _q(triangle()).q
     dense = top_k_eigen(q, 3, method="dense")
-    power = top_k_eigen(q, 3, method="power")
+    power = top_k_eigen(q, 3, method="lanczos")
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-9)
     angle = largest_principal_angle(power.vectors[:, 1:3], dense.vectors[:, 1:3])
     assert angle <= 1e-6
@@ -115,7 +116,7 @@ def test_power_route_reports_non_convergence():
     m = rng.standard_normal((50, 50))
     m = 0.5 * (m + m.T)
     with pytest.raises(NumericalError):
-        top_k_eigen(m, 2, method="power", max_iter=3)
+        top_k_eigen(m, 2, method="lanczos", max_iter=3)
 
 
 def test_power_route_converges_on_a_long_cycle():
@@ -124,7 +125,7 @@ def test_power_route_converges_on_a_long_cycle():
     each double and the next one only O(1 / n^3) below."""
     n = 3000
     g = Graph.from_edges([(i, (i + 1) % n, 1.0) for i in range(n)])
-    pairs = top_k_eigen(CovarianceOperator(g), 16, method="power")
+    pairs = top_k_eigen(CovarianceOperator(g), 16, method="lanczos")
     j = np.repeat(np.arange(1, 9), 2)
     np.testing.assert_allclose(pairs.values, np.cos(2 * np.pi * j / n) / n, rtol=0, atol=1e-12)
 
@@ -135,15 +136,15 @@ def test_power_route_restarts_are_seeded():
     two calls give the same bytes."""
     g = Graph.from_edges([(0, i, 1.0) for i in range(1, 600)])
     op = CovarianceOperator(g)
-    first = top_k_eigen(op, 2, method="power")
-    second = top_k_eigen(op, 2, method="power")
+    first = top_k_eigen(op, 2, method="lanczos")
+    second = top_k_eigen(op, 2, method="lanczos")
     assert first.vectors.tobytes() == second.vectors.tobytes()
     np.testing.assert_allclose(first.values, top_k_eigen(op, 2).values, rtol=0, atol=1e-12)
 
 
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
-        top_k_eigen(np.eye(2), 1, method="lanczos")
+        top_k_eigen(np.eye(2), 1, method="power")
 
 
 def test_checked_covariances_skip_the_symmetry_check(monkeypatch):
@@ -160,8 +161,8 @@ def test_checked_covariances_skip_the_symmetry_check(monkeypatch):
     monkeypatch.setattr(spectral, "_check_symmetric", refuse)
     checked = top_k_eigen(q, 3)
     assert checked.vectors.tobytes() == raw.vectors.tobytes()
-    top_k_eigen(q, 3, method="power")
-    top_k_eigen(CovarianceOperator(g), 3, method="power")
+    top_k_eigen(q, 3, method="lanczos")
+    top_k_eigen(CovarianceOperator(g), 3, method="lanczos")
     with pytest.raises(AssertionError, match="checked again"):
         top_k_eigen(q.q, 3)
 
@@ -173,8 +174,8 @@ def test_determinism_bit_identical():
     second = top_k_eigen(q, 4)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
-    p1 = top_k_eigen(q, 4, method="power")
-    p2 = top_k_eigen(q, 4, method="power")
+    p1 = top_k_eigen(q, 4, method="lanczos")
+    p2 = top_k_eigen(q, 4, method="lanczos")
     assert np.array_equal(p1.vectors, p2.vectors)
 
 
@@ -370,7 +371,7 @@ def test_power_route_edge_cases(n, kind):
     scale = max(1.0, np.abs(m).sum(axis=1).max())
     dense = np.linalg.eigvalsh(m)[::-1]
     for k in sorted({1, min(n, 3), n}):
-        pairs = top_k_eigen(m, k, method="power")
+        pairs = top_k_eigen(m, k, method="lanczos")
         np.testing.assert_allclose(pairs.values, dense[:k], rtol=0, atol=1e-8)
         residuals = np.linalg.norm(m @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
         assert residuals.max() <= 1e-8 * scale
@@ -379,7 +380,7 @@ def test_power_route_edge_cases(n, kind):
 def test_power_route_converges_on_planted_partition_within_500_products():
     g, _ = planted_partition(8, 50, 0.3, 0.01, seed=0, ensure_connected=True)
     q = _q(g).q
-    power = top_k_eigen(q, 8, method="power", max_iter=500)
+    power = top_k_eigen(q, 8, method="lanczos", max_iter=500)
     dense = top_k_eigen(q, 8)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-8)
 
@@ -448,7 +449,7 @@ def test_eigenvalues_reject_a_perturbed_spectrum(tmp_path, monkeypatch, kept):
 
 
 # ===================================================================
-# Early stop for --dim auto: the top of the spectrum plus a bound
+# Early stop for --dim auto: the top of the spectrum and Q's zero eigenvalue
 # ===================================================================
 
 
@@ -459,41 +460,59 @@ def planted_1440():
 
 
 @pytest.mark.parametrize(
-    ("length", "exact"), [(2, False), (3, False), (5, False), (8, False), (3, True)]
+    ("length", "exact"),
+    [(2, False), (3, False), (5, False), (8, False), (3, True), (2, True), (4, True),
+     (None, False)],
+    ids=["2-False", "3-False", "5-False", "8-False", "3-True", "2-True", "4-True", "edge"],
 )
 def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
-    """On walk covariances the best gap among the top 8 values beats
-    lambda_8 - lambda_min, and the padded values pick the dense k."""
+    """On edge and walk covariances the best gap among the top 8 values
+    beats lambda_8 + n eps ||Q||, and the padded values pick the dense k."""
     g = planted_1440
-    q = walk_covariance(g, length, exact_length=exact)
+    q = CovarianceOperator(g) if length is None else walk_covariance(g, length, exact_length=exact)
     values = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
     assert values is not None and values.shape == (g.n,)
     assert select_dimension(values, g.n) == select_dimension(eigenvalues(q), g.n)
 
 
-@pytest.mark.parametrize("case", ["edge", "exact-walk:2", "small"])
-def test_top_spectrum_gives_up(planted_1440, case):
-    """Edge sampling's |lambda_min| is too large for the bound; exact
-    walk:2 puts lambda_min inside a cluster at zero, where the smallest
-    pair does not converge; below 1440 nodes no j = 8 pays."""
-    if case == "edge":
-        q = CovarianceOperator(planted_1440)
-    elif case == "exact-walk:2":
-        q = walk_covariance(planted_1440, 2, exact_length=True)
-    else:
+@pytest.mark.parametrize("case", ["cycle-edge", "cycle-walk:3", "small"])
+def test_top_spectrum_gives_up(case):
+    """A cycle has no community gap: its best gap among the top 8 stays
+    below lambda_8, and n = 1500 allows no j = 16. Below 1440 nodes no
+    j = 8 pays."""
+    if case == "small":
         small, _ = planted_partition(8, 179, 0.1, 0.002, seed=0, ensure_connected=True)
         q = walk_covariance(small, 3)
+    else:
+        g = Graph.from_edges([(i, (i + 1) % 1500, 1.0) for i in range(1500)])
+        q = CovarianceOperator(g) if case == "cycle-edge" else walk_covariance(g, 3)
     assert spectral.top_spectrum(q) is None
+
+
+def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
+    """One values-only ARPACK solve per j and no solve for the bottom of
+    the spectrum: walk:3 settles at j = 8 after a single call."""
+    calls, solve = [], spectral._lanczos
+
+    def record(m, n, k, *args, **kwargs):
+        calls.append(k)
+        return solve(m, n, k, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_lanczos", record)
+    assert spectral.top_spectrum(walk_covariance(planted_1440, 3)) is not None
+    assert calls == [8]
 
 
 class _PlantedSpectrum:
     """Q = H diag(values) H for the Householder reflection H swapping e_1
-    and 1/sqrt(n), so values[0] must be 0 and Q 1 = 0."""
+    and 1/sqrt(n), so values[0] must be 0 and Q 1 = 0; its norm bound is
+    max|values|."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
         self.n = self.values.size
+        self.norm_bound = float(np.abs(self.values).max())
         self.u = -np.full(self.n, 1 / np.sqrt(self.n))
         self.u[0] += 1.0
         self.u /= np.linalg.norm(self.u)
@@ -505,33 +524,62 @@ class _PlantedSpectrum:
         return self._reflect(self.values * self._reflect(x))
 
 
+def _planted_top(lambda_8, lambda_min):
+    """Top values 1, .98, .96, .5, .49, .48, .47, lambda_8 over a bulk in
+    [-0.02, 0.3] and lambda_min, on n = 1440, which allows no j = 16."""
+    top = [1.0, 0.98, 0.96, 0.5, 0.49, 0.48, 0.47, lambda_8]
+    bulk = np.linspace(0.3, -0.02, 1440 - 10)
+    q = _PlantedSpectrum(np.concatenate([[0.0], top, bulk, [lambda_min]]))
+    assert np.abs(q @ np.ones(q.n)).max() <= 1e-14
+    return q, top
+
+
 @pytest.mark.parametrize("margin", [1e-6, -1e-6])
 def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin):
-    """Top values 1, .98, .96, .5, ..., .42 have their best gap, 0.46, at
-    k = 3, and lambda_8 = 0.42. With lambda_min = -0.04 + margin the gap
-    beats lambda_8 - lambda_min for a positive margin only; n = 1440
-    allows no j = 16, so otherwise the answer is None."""
-    top = [1.0, 0.98, 0.96, 0.5, 0.48, 0.46, 0.44, 0.42]
-    bulk = np.linspace(0.3, -0.02, 1440 - 10)
-    q = _PlantedSpectrum(np.concatenate([[0.0], top, bulk, [-0.04 + margin]]))
-    assert np.abs(q @ np.ones(q.n)).max() <= 1e-14
+    """The best top gap, 0.46, is at k = 3. With lambda_8 = 0.46 - tau -
+    margin, tau = n eps ||Q||, the gap beats lambda_8 + tau for a positive
+    margin only; otherwise the answer is None."""
+    tau = 1440 * np.finfo(float).eps * 1.0
+    q, top = _planted_top(0.46 - tau - margin, -0.04)
     values = spectral.top_spectrum(q)
     if margin < 0:
         assert values is None
         return
     np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
-    assert np.all(values[8:] == values[-1])
-    assert -0.04 + margin - 1e-12 <= values[-1] <= -0.04 + margin
+    assert np.all(values[8:] == -tau)
     assert select_dimension(values, q.n) == 3
 
 
-def test_completion_breaks_ties_towards_the_smallest_k():
-    """Dyadic values, so every comparison is exact: gaps of 2 at k = 1
-    and k = 4 tie and k = 1 wins; a bound that makes lambda_8 - L equal
-    to the best gap settles nothing, since a later gap could tie it."""
-    top = np.array([5.0, 3.0, 2.75, 2.5, 0.5, 0.375, 0.25, 0.125])
-    padded = spectral._completion(top, -1.0, 100)
-    assert padded.shape == (100,) and np.all(padded[8:] == -1.0)
-    assert select_dimension(padded, 100) == 1
-    assert spectral._completion(top, -1.875, 100) is None
-    assert spectral._completion(top, -1.75, 100) is not None
+def test_top_spectrum_ignores_the_negative_spectrum():
+    """lambda_min = -5 lies further below zero than lambda_1 = 1 lies
+    above it, which a lower bound on lambda_min could not settle; the
+    zero eigenvalue does, with the dense k."""
+    q, top = _planted_top(0.42, -5.0)
+    values = spectral.top_spectrum(q)
+    assert values is not None
+    np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
+    assert np.all(values[8:] == -q.n * np.finfo(float).eps * 5.0)
+    assert select_dimension(values, q.n) == select_dimension(np.sort(q.values)[::-1], q.n) == 3
+
+
+def test_top_spectrum_needs_lambda_j_above_the_allowance():
+    """With five positive values the top 8 reach the zero eigenvalue and
+    the negative bulk, so lambda_8 <= tau: padding with -tau would not
+    even be sorted, and n = 1440 allows no j = 16."""
+    top = [1.0, 0.98, 0.96, 0.5, 0.49]
+    q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(-0.001, -0.3, 1440 - 6)]))
+    assert spectral.top_spectrum(q) is None
+
+
+def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
+    """Dyadic values and tau = n eps ||Q|| on n = 2048, so every
+    comparison is exact: gaps of 2 at k = 1 and k = 4 tie and k = 1 wins;
+    a tau that makes lambda_8 + tau equal to the best gap settles
+    nothing, since a later gap could tie it."""
+    top = np.array([6.0, 4.0, 3.75, 3.5, 1.5, 1.375, 1.25, 1.125])
+    monkeypatch.setattr(spectral, "_lanczos", lambda *args, **kwargs: (top, None))
+    unit = 2048 * np.finfo(float).eps  # tau per unit of norm_bound, 2**-41
+    padded = spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.75 / unit))
+    assert padded.shape == (2048,) and np.all(padded[8:] == -0.75)
+    assert select_dimension(padded, 2048) == 1
+    assert spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.875 / unit)) is None
