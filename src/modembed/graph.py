@@ -2,14 +2,17 @@
 
 A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 (m, 2) canonical pairs u < w with no pair repeated, and ``weights``,
-one positive weight per pair. The dense adjacency matrix and the degree
-vector are derived from them on first use. The dense adjacency is what
-the samplers consume; the sparse one (scipy CSR) feeds the matrix-free
-covariance, and :func:`laplacian` is built from the edges directly.
+one positive weight per pair. The dense adjacency matrix, the degree
+vector and the compressed sparse rows ``csr`` are derived from them on
+first use. The dense adjacency is what the samplers consume; ``csr``
+feeds the matrix-free covariance, and scipy wraps it (``sparse_adjacency``)
+only where a sparse product runs. :func:`laplacian` is built from the
+edges directly.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -17,6 +20,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FormatError
+
+# The symmetric adjacency as compressed sparse rows: row u's neighbours are
+# indices[indptr[u]:indptr[u + 1]], ascending, with their weights in data.
+CSR = namedtuple("CSR", "indptr indices data")
 
 
 # Arrays have no truth value, so fields cannot be compared: equality is identity.
@@ -117,23 +124,31 @@ class Graph:
         return a
 
     @cached_property
+    def csr(self) -> CSR:
+        """The adjacency as three read-only arrays, built without the dense
+        one and bit-equal to scipy's CSR of the symmetric pairs: int32
+        indices while n and 2m fit, int64 past that."""
+        u, w = self.edges.T
+        rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
+        order = np.lexsort((cols, rows))
+        index = np.int32 if max(self.n, rows.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(self.n + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        a = CSR(indptr, cols[order].astype(index), np.concatenate([self.weights] * 2)[order])
+        for part in a:
+            part.setflags(write=False)
+        return a
+
+    @cached_property
     def sparse_adjacency(self):
-        """The adjacency as a scipy CSR matrix, built without the dense one.
+        """``csr`` as a scipy CSR matrix that shares its buffers.
 
         scipy is imported here, on first use, so commands that never
-        need it do not pay its import time.
+        need a sparse product do not pay its import time.
         """
         from scipy.sparse import csr_matrix
 
-        u, w = self.edges.T
-        a = csr_matrix(
-            (np.concatenate([self.weights, self.weights]),
-             (np.concatenate([u, w]), np.concatenate([w, u]))),
-            shape=(self.n, self.n),
-        )
-        for part in (a.data, a.indices, a.indptr):
-            part.setflags(write=False)
-        return a
+        return csr_matrix(self.csr[::-1], shape=(self.n, self.n), copy=False)
 
     @cached_property
     def degrees(self) -> np.ndarray:

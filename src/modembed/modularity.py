@@ -73,7 +73,8 @@ class CovarianceOperator:
     the walk mixture is the co-occurrence matrix NetMF factorizes (Qiu
     et al. 2018), and :func:`walk_covariance` builds it with the checks
     of :func:`~modembed.sampling.random_walk_sampling`. Each product costs L sparse products,
-    O(L m) per column; no n x n array is formed until ``q`` is read.
+    O(L m) per column, and loads scipy; no n x n array is formed until
+    ``q`` is read, and the edge form's ``q`` and row-sum check run none.
     Symmetry holds by construction, and every row sum is at most
     2 max p_u in absolute value, which is ``norm_bound``.
     """
@@ -87,7 +88,8 @@ class CovarianceOperator:
             raise ValueError("the covariance of a sampled graph needs at least one edge")
         if not 1 <= self.length <= MAX_WALK_LENGTH:
             raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {self.length}")
-        if not np.max(np.abs(self @ np.ones(self.n))) <= 1e-12:
+        a_1 = self.graph.degrees[:, None] + 0.0  # A1, a copy: the edge form needs no product
+        if not np.max(np.abs(self._apply(a_1, self.p_u.sum(keepdims=True)))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
 
     @property
@@ -104,9 +106,12 @@ class CovarianceOperator:
 
     @cached_property
     def q(self) -> np.ndarray:
-        """Dense Q, formed on first use from A itself, not from A times the
-        identity; averaging with Q^T drops walk-product roundoff."""
-        q = self._apply(self.graph.sparse_adjacency.toarray(), self.p_u)
+        """Dense Q, formed on first use from the edge arrays, not from A
+        times the identity; averaging with Q^T drops walk-product roundoff."""
+        a = np.zeros((self.n, self.n))
+        u, w = self.graph.edges.T
+        a[u, w] = a[w, u] = self.graph.weights
+        q = self._apply(a, self.p_u)
         if self.length > 1:  # A / 2m - p_u p_u^T alone is exactly symmetric
             q += q.T
             q *= 0.5

@@ -71,7 +71,7 @@ def zero_diagonal(q: np.ndarray) -> np.ndarray:
     return out
 
 
-# Q = scale (b + left right^T), its diagonal scale diag; b a scipy CSR, an array or None.
+# Q = scale (b + left right^T), its diagonal scale diag; b a graph.CSR, an array or None.
 _Form = namedtuple("_Form", "b left right diag scale", defaults=(1.0,))
 
 
@@ -81,9 +81,8 @@ def _form(q: Similarity, normalize: bool = False) -> _Form:
     if isinstance(q, Embedding):
         f = _Form(None, q.h, q.h, np.einsum("ij,ij->i", q.h, q.h))
     elif isinstance(q, CovarianceOperator) and q.length == 1:
-        a, p = q.graph.sparse_adjacency, q.p_u
-        b = type(a)((a.data / q.graph.total_weight, a.indices, a.indptr), shape=a.shape)
-        f = _Form(b, -p[:, None], p[:, None], -p * p)
+        a, p = q.graph.csr, q.p_u
+        f = _Form(a._replace(data=a.data / q.graph.total_weight), -p[:, None], p[:, None], -p * p)
     else:
         b = np.asarray(getattr(q, "q", q), dtype=float)
         f = _Form(b, None, None, np.diag(b))
@@ -123,7 +122,7 @@ def softmax_objective(q: np.ndarray, h: np.ndarray) -> float:
     """
     h = np.asarray(h, dtype=float)
     if isinstance(q, _Form):
-        obj = 0.0 if q.b is None else np.sum(h * (q.b @ h))
+        obj = _quadratic(q.b, h)
         if q.left is not None:
             obj += np.sum((q.left.T @ h) * (q.right.T @ h))
         return float(q.scale * (obj - np.sum(q.diag * np.einsum("ij,ij->i", h, h))))
@@ -157,6 +156,19 @@ def _row_product(b):
         return lambda u, h: b[u] @ h
     ptr, idx, val = b.indptr.tolist(), b.indices, b.data
     return lambda u, h: val[ptr[u]:ptr[u + 1]] @ h[idx[ptr[u]:ptr[u + 1]]]
+
+
+def _quadratic(b, h: np.ndarray) -> float:
+    """sum_u h_u . (B h)_u for the three kinds of B. A CSR B is summed over
+    its entries, 4096 at a time, so no (nnz, K) gather is held."""
+    if b is None or isinstance(b, np.ndarray):
+        return 0.0 if b is None else float(np.sum(h * (b @ h)))
+    total = 0.0
+    for s in range(0, b.data.size, 4096):
+        e = slice(s, s + 4096)
+        rows = np.searchsorted(b.indptr, np.arange(s, s + b.data[e].size), side="right") - 1
+        total += b.data[e] @ np.einsum("ij,ij->i", h[rows], h[b.indices[e]])
+    return total
 
 
 def softmax_sweep(

@@ -706,12 +706,43 @@ def test_cluster_normalize_matches_the_dense_path(tmp_path, name):
     assert [tuple(row) for row in read_table(out)[1]] == want
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy is imported on the first sparse product, not at start-up."""
+_WITHOUT_SCIPY = """
+import os, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from modembed.cli import main
+karate, factions, cycle = sys.argv[1:]
+for argv in [
+    ["cluster", karate, "--dim", "2"],
+    ["cluster", karate, "--dim", "2", "--normalize"],
+    ["embed", karate, "--dim", "2"],
+    ["embed", karate, "--dim", "auto"],
+    ["spectrum", karate],
+    ["spectrum", karate, "--sampler", "expdist"],
+    ["classify", karate, factions, "--dim", "2"],
+]:
+    assert main(argv + ["--output", os.devnull]) == 0, argv
+try:  # the control: the Lanczos route does import scipy
+    main(["embed", cycle, "--dim", "16", "--output", os.devnull])
+except ImportError as exc:
+    assert exc.name.split(".")[0] == "scipy", exc
+else:
+    raise AssertionError("embed --dim 16 on a 3000-node cycle ran without scipy")
+"""
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    """scipy is imported on the first sparse product or ARPACK solve, not
+    at start-up, and a small graph or edge-sampled cluster needs neither:
+    these commands on the karate club run with scipy made unimportable."""
     src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     check = "import sys, modembed.cli; sys.exit('scipy' in sys.modules)"
-    subprocess.run([sys.executable, "-c", check], env=dict(os.environ, PYTHONPATH=str(src)),
-                   check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text("".join(f"{i} {(i + 1) % 3000}\n" for i in range(3000)))
+    files = [str(DATA / "karate.txt"), str(DATA / "karate_factions.txt"), str(cycle)]
+    subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *files], env=env, check=True,
+                   timeout=300)
 
 
 def test_eigenmap_writes_no_negative_zero(tmp_path, barbell_file):

@@ -1,9 +1,11 @@
-"""Property tests: edge-list parsing and Graph's duplicate check against plain references."""
+"""Property tests: edge-list parsing, Graph's duplicate check and its CSR against plain
+references."""
 
 import re
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from modembed import FormatError, Graph, load_edge_list
 
@@ -104,3 +106,34 @@ def test_several_bad_lines_name_the_first(lines):
     hypothesis.assume(first is not None)
     with pytest.raises(FormatError, match=f"^line {first}: "):
         load_edge_list("\n".join(lines))
+
+
+@hypothesis.given(
+    st.integers(2, 12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.floats(1e-3, 1e3))),
+    st.randoms(use_true_random=False),
+)
+def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
+    """Graph.csr has the bits and dtypes of scipy's CSR built from both
+    orientations of every edge, whatever order the edges come in; its
+    arrays are read-only, and sparse_adjacency wraps them without a copy."""
+    merged = {(v - 1, v): 1.0 for v in range(1, n)}  # a path: no node is isolated
+    for u, w, x in raw:
+        if u != w and max(u, w) < n:
+            merged[min(u, w), max(u, w)] = x
+    pairs = list(merged.items())
+    rnd.shuffle(pairs)
+    edges = np.array([pair for pair, _ in pairs], dtype=np.int64)
+    weights = np.array([x for _, x in pairs])
+    g = Graph(n, edges, weights)
+    u, w = edges.T
+    want = csr_matrix(
+        (np.concatenate([weights, weights]), (np.concatenate([u, w]), np.concatenate([w, u]))),
+        shape=(n, n),
+    )
+    wrapped = g.sparse_adjacency
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(g.csr, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+        assert np.shares_memory(getattr(wrapped, name), got)

@@ -222,7 +222,7 @@ def test_operator_q_holds_one_dense_array_at_its_peak():
     above q itself."""
     g, _ = planted_partition(5, 100, 0.1, 0.01, seed=0)
     op = CovarianceOperator(g)
-    op.graph.sparse_adjacency, op.p_u  # cached inputs, outside the measurement
+    op.p_u  # the cached input q reads besides the edge arrays, outside the measurement
     tracemalloc.start()
     try:
         op.q

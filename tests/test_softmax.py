@@ -1,5 +1,6 @@
 """Softmax embedding updates: monotonicity, clamping, clustering."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from modembed import (
 from modembed import softmax
 from modembed.softmax import _form, _off_diagonal_max
 
-from helpers import barbell, random_zero_diag_symmetric, set_partitions
+from helpers import barbell, random_connected_graph, random_zero_diag_symmetric, set_partitions
 
 
 def _barbell_q0():
@@ -360,3 +361,38 @@ def test_forms_match_the_zero_diagonal_dense_path(name, clamp, normalize, theta_
         slack = 1e-12 * np.maximum(1.0, np.abs(want.history))
         assert np.all(np.abs(got.history - want.history) <= slack)
         assert got.sweeps == want.sweeps == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalize"])
+def test_edge_objective_matches_the_dense_one(seed, normalize):
+    """The edge form's objective, summed over its CSR entries 4096 at a time
+    (three blocks here, the last one partial), is the dense objective on
+    zero_diagonal(q), scaled alike, to 1e-13 relative to the sum of its
+    absolute terms: the terms cancel, so the sum itself can be small."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 300, extra=0.1, weighted=True)
+    assert 2 * 4096 < 2 * g.edge_count < 3 * 4096
+    op = CovarianceOperator(g)
+    form = _form(op, normalize)
+    q0 = zero_diagonal(op.q) * form.scale
+    for k in (2, 5):
+        h = rng.dirichlet(np.ones(k), size=g.n)
+        terms = np.sum(np.abs(q0) * (h @ h.T))
+        assert abs(softmax_objective(form, h) - softmax_objective(q0, h)) <= 1e-13 * terms
+
+
+def test_edge_objective_gathers_in_blocks():
+    """On a planted graph of 3200 nodes and 41k edges, with K = 16, the
+    objective's peak stays under 2 MB, far below the 2m K 8 bytes of
+    gathering h at every CSR entry at once."""
+    g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
+    form = _form(CovarianceOperator(g))
+    h = np.random.default_rng(0).dirichlet(np.ones(16), size=g.n)
+    tracemalloc.start()
+    try:
+        softmax_objective(form, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6 < 2 * g.edge_count * 16 * 8 / 5
