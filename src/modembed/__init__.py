@@ -33,7 +33,6 @@ from .modularity import (
     normalized_modularity,
     partition_modularity,
     set_covariance,
-    walk_covariance,
 )
 from .sampling import (
     SampledGraph,
@@ -129,7 +128,6 @@ __all__ = [
     "top_k_eigen",
     "train_test_split",
     "update_node",
-    "walk_covariance",
     "weighted_distance_objective",
     "zero_diagonal",
 ]

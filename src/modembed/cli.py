@@ -25,7 +25,7 @@ import numpy as np
 from .errors import FormatError, NumericalError
 from .evaluate import load_labels, micro_macro_f1, read_label_map, train_test_split
 from .graph import Graph, load_edge_list
-from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix, walk_covariance
+from .modularity import CovarianceOperator, ModularityMatrix, modularity_matrix
 # edge/random_walk_sampling, zero_diagonal, reconstruct: unused here, the benchmark looks them up.
 from .sampling import (
     MAX_WALK_LENGTH,
@@ -161,10 +161,8 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
     softmax ascent reads it; expdist gives the dense matrix.
     """
     kind, length = args.sampler
-    if kind == "edge":
-        return CovarianceOperator(g)
-    if kind == "walk":
-        return walk_covariance(g, length, exact_length=args.exact_length)
+    if kind != "expdist":
+        return CovarianceOperator(g, length or 1, args.exact_length)
     return modularity_matrix(exp_distance_sampling(resistance_distance(g), theta=args.theta))
 
 

@@ -135,20 +135,16 @@ def micro_macro_f1(
         raise ValueError("nothing to evaluate")
     if n_classes is None:
         n_classes = int(max(truth.max(), predicted.max())) + 1
-    elif max(truth.max(), predicted.max()) >= n_classes:
-        raise ValueError("class index out of range for the declared class count")
-    tp = np.zeros(n_classes, dtype=int)
-    fp = np.zeros(n_classes, dtype=int)
-    fn = np.zeros(n_classes, dtype=int)
-    for c in range(n_classes):
-        tp[c] = int(np.sum((predicted == c) & (truth == c)))
-        fp[c] = int(np.sum((predicted == c) & (truth != c)))
-        fn[c] = int(np.sum((predicted != c) & (truth == c)))
+    if min(truth.min(), predicted.min()) < 0 or max(truth.max(), predicted.max()) >= n_classes:
+        raise ValueError(f"class indices must lie in 0..{n_classes - 1}")
+    tp = np.bincount(truth[predicted == truth], minlength=n_classes)
+    fp = np.bincount(predicted, minlength=n_classes) - tp
+    fn = np.bincount(truth, minlength=n_classes) - tp
     micro_p = _ratio(tp.sum(), tp.sum() + fp.sum())
     micro_r = _ratio(tp.sum(), tp.sum() + fn.sum())
     micro = _ratio(2.0 * micro_p * micro_r, micro_p + micro_r)
-    per_p = np.array([_ratio(tp[c], tp[c] + fp[c]) for c in range(n_classes)])
-    per_r = np.array([_ratio(tp[c], tp[c] + fn[c]) for c in range(n_classes)])
+    per_p = np.divide(tp, tp + fp, out=np.zeros(n_classes), where=tp + fp > 0)
+    per_r = np.divide(tp, tp + fn, out=np.zeros(n_classes), where=tp + fn > 0)
     macro_p = float(per_p.mean())
     macro_r = float(per_r.mean())
     macro = _ratio(2.0 * macro_p * macro_r, macro_p + macro_r)

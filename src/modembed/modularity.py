@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph
-from .sampling import MAX_WALK_LENGTH, SampledGraph, check_walkable
+from .sampling import SampledGraph, check_walkable
+from .spectral import _check_symmetric
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,9 @@ class ModularityMatrix:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
-            raise ValueError("q must be a non-empty square matrix")
-        if not np.max(np.abs(q - q.T)) <= 1e-14:
-            raise ValueError("q must be finite and symmetric")
+        q = _check_symmetric(self.q, 1e-14, "q")
+        if q.size == 0:
+            raise ValueError("q must be non-empty")
         if not np.max(np.abs(q.sum(axis=1))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
         if not np.max(np.abs(q)) <= 1.0 + 1e-15:
@@ -71,10 +70,11 @@ class CovarianceOperator:
     the Q of :func:`~modembed.sampling.edge_sampling`, Newman's
     sparse-plus-rank-one modularity AX/2m - p_u (p_u^T X) (Newman 2006);
     the walk mixture is the co-occurrence matrix NetMF factorizes (Qiu
-    et al. 2018), and :func:`walk_covariance` builds it with the checks
-    of :func:`~modembed.sampling.random_walk_sampling`. Each product costs L sparse products,
-    O(L m) per column, and loads scipy; no n x n array is formed until
-    ``q`` is read, and the edge form's ``q`` and row-sum check run none.
+    et al. 2018). For L > 1 the graph must pass the checks of
+    :func:`~modembed.sampling.random_walk_sampling`, connectivity among
+    them. Each product costs L sparse products, O(L m) per column, and
+    loads scipy; no n x n array is formed until ``q`` is read, and the
+    edge form's ``q`` and row-sum check run none.
     Symmetry holds by construction, and every row sum is at most
     2 max p_u in absolute value, which is ``norm_bound``.
     """
@@ -84,10 +84,10 @@ class CovarianceOperator:
     exact_length: bool = False
 
     def __post_init__(self) -> None:
-        if self.graph.edge_count == 0:
+        if self.length != 1:
+            check_walkable(self.graph, self.length)
+        elif self.graph.edge_count == 0:
             raise ValueError("the covariance of a sampled graph needs at least one edge")
-        if not 1 <= self.length <= MAX_WALK_LENGTH:
-            raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {self.length}")
         a_1 = self.graph.degrees[:, None] + 0.0  # A1, a copy: the edge form needs no product
         if not np.max(np.abs(self._apply(a_1, self.p_u.sum(keepdims=True)))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
@@ -135,12 +135,6 @@ class CovarianceOperator:
         for s in range(0, self.n, rows):
             total[s:s + rows] -= np.outer(self.p_u[s:s + rows], pu_x)
         return total
-
-
-def walk_covariance(g: Graph, length: int, exact_length: bool = False) -> CovarianceOperator:
-    """Q of :func:`~modembed.sampling.random_walk_sampling` without forming it."""
-    check_walkable(g, length)
-    return CovarianceOperator(g, length, exact_length)
 
 
 @dataclass(frozen=True)

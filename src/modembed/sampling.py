@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NumericalError
 from .graph import Graph, is_connected
 from .semimetric import SemiMetric
+from .spectral import _check_symmetric
 
 _MASS_TOL = 1e-12
 _EXP_RANGE = 700.0
@@ -36,17 +37,13 @@ class SampledGraph:
     p_u: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("p must be a square matrix")
+        p = _check_symmetric(self.p, 1e-14, "p")
         if p.size == 0:
             raise ValueError("p must be non-empty")
         if not p.min() >= 0:
             raise ValueError("probabilities must be finite and nonnegative")
         if not abs(p.sum() - 1.0) <= _MASS_TOL:
             raise ValueError(f"total mass {p.sum()!r} is not 1")
-        if not np.max(np.abs(p - p.T)) <= 1e-14:
-            raise ValueError("p must be symmetric")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", p.sum(axis=1))
 

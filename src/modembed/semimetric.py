@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _fix_signs, top_k_eigen
+from .spectral import Embedding, _check_symmetric, _fix_signs, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
@@ -40,15 +40,11 @@ class SemiMetric:
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError("semi-metric must be a square matrix")
+        d = _check_symmetric(self.d, _AXIOM_TOL, "semi-metric")
         if d.size and not d.min() >= -_AXIOM_TOL:
-            raise ValueError("nonnegativity violated: negative or NaN dissimilarity entry")
+            raise ValueError("nonnegativity violated: negative dissimilarity entry")
         if d.size and not np.max(np.abs(np.diag(d))) <= _AXIOM_TOL:
             raise ValueError("zero-diagonal axiom violated")
-        if d.size and not np.max(np.abs(d - d.T)) <= _AXIOM_TOL:
-            raise ValueError("symmetry axiom violated")
         object.__setattr__(self, "d", d)
 
     @property
@@ -64,12 +60,8 @@ class CohesionMatrix:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("cohesion matrix must be square")
+        g = _check_symmetric(self.gamma, _AXIOM_TOL, "cohesion matrix")
         if g.size:
-            if not np.max(np.abs(g - g.T)) <= _AXIOM_TOL:
-                raise ValueError("symmetry axiom violated or non-finite entry")
             rowsum_tol = _ROWSUM_ULPS * g.shape[0] * np.finfo(float).eps * np.max(np.abs(g))
             if not np.max(np.abs(g.sum(axis=1))) <= rowsum_tol:
                 raise ValueError("zero-row-sum axiom violated")

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .modularity import CovarianceOperator, ModularityMatrix, Partition
-from .spectral import Embedding
+from .spectral import Embedding, _check_symmetric
 
 LabelSet = Mapping[int, int]
 Similarity = np.ndarray | ModularityMatrix | CovarianceOperator | Embedding
@@ -84,7 +84,7 @@ def _form(q: Similarity, normalize: bool = False) -> _Form:
         a, p = q.graph.csr, q.p_u
         f = _Form(a._replace(data=a.data / q.graph.total_weight), -p[:, None], p[:, None], -p * p)
     else:
-        b = np.asarray(getattr(q, "q", q), dtype=float)
+        b = q.q if hasattr(q, "q") else _check_symmetric(q)
         f = _Form(b, None, None, np.diag(b))
     top = _off_diagonal_max(f) if normalize else 0.0
     return f._replace(scale=1.0 / top) if top > 0 else f

@@ -55,11 +55,8 @@ class EigenPairs:
             raise ValueError("vectors must be (n, k) with one column per eigenvalue")
         if not np.all(np.diff(values) <= 1e-12):
             raise ValueError("eigenvalues must be finite and sorted in descending order")
-        gram = vectors.T @ vectors
-        if not np.max(np.abs(gram - np.eye(vectors.shape[1]))) <= _ORTHO_TOL:
-            raise ValueError("eigenvector columns are not orthonormal")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "vectors", Embedding(vectors).h)
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
+def _check_symmetric(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
+    """m as a float array, square and within ``tol`` of its transpose; a
+    NaN or infinite entry is not."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if m.size and not np.max(np.abs(m - m.T)) <= 1e-12:
-        raise ValueError("matrix must be finite and symmetric")
+        raise ValueError(f"{name} must be square")
+    if m.size and not np.max(np.abs(m - m.T)) <= tol:
+        raise ValueError(f"{name} must be finite and symmetric")
     return m
 
 

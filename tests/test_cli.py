@@ -408,6 +408,18 @@ def test_input_errors_exit_two(tmp_path):
     assert main(["spectrum", str(disconnected), "--sampler", "walk:2", "--output", out]) == 2
 
 
+def test_walk_one_is_edge_sampling_on_any_graph(tmp_path):
+    """walk:1's Q is the edge Q, so like edge sampling it needs no connected graph."""
+    two = tmp_path / "two.txt"
+    two.write_text("a b\nb c\nc a\nd e\ne f\nf d\n")
+    outs = []
+    for sampler in ("edge", "walk:1"):
+        out = tmp_path / "out.tsv"
+        assert main(["cluster", str(two), "--sampler", sampler, "--dim", "2", "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from modembed import (
     FormatError,
@@ -148,11 +149,49 @@ def test_f1_holdout_restriction():
     assert report.evaluated == 3
 
 
+def _f1_reference(truth, predicted, n_classes):
+    """Micro-F1, macro-F1 and the counts from one pass per class."""
+    tp, fp, fn = (np.zeros(n_classes, dtype=int) for _ in range(3))
+    for c in range(n_classes):
+        tp[c] = np.sum((predicted == c) & (truth == c))
+        fp[c] = np.sum((predicted == c) & (truth != c))
+        fn[c] = np.sum((predicted != c) & (truth == c))
+
+    def ratio(num, den):
+        return num / den if den > 0 else 0.0
+
+    micro_p = ratio(tp.sum(), tp.sum() + fp.sum())
+    micro_r = ratio(tp.sum(), tp.sum() + fn.sum())
+    macro_p = float(np.mean([ratio(tp[c], tp[c] + fp[c]) for c in range(n_classes)]))
+    macro_r = float(np.mean([ratio(tp[c], tp[c] + fn[c]) for c in range(n_classes)]))
+    return (
+        ratio(2.0 * micro_p * micro_r, micro_p + micro_r),
+        ratio(2.0 * macro_p * macro_r, macro_p + macro_r),
+        tp, fp, fn,
+    )
+
+
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=60),
+)))
+def test_f1_matches_the_per_class_loops(case):
+    """Bit for bit, counts included, on any labels of 2..8 classes."""
+    n_classes, pairs = case
+    truth, pred = np.array(pairs).T
+    report = micro_macro_f1(truth, pred, n_classes=n_classes)
+    micro, macro, tp, fp, fn = _f1_reference(truth, pred, n_classes)
+    assert (report.micro_f1, report.macro_f1) == (micro, macro)
+    for got, want in ((report.tp, tp), (report.fp, fp), (report.fn, fn)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_f1_errors():
     with pytest.raises(ValueError):
         micro_macro_f1(np.array([0, 1]), np.array([0, 1]), np.array([], dtype=int))
     with pytest.raises(ValueError):
         micro_macro_f1(np.array([0, 5]), np.array([0, 1]), None, n_classes=2)
+    with pytest.raises(ValueError, match="must lie in 0..1"):
+        micro_macro_f1(np.array([0, 1, -1]), np.array([0, 1, 1]))
 
 
 def test_planted_cliques_when_p_out_zero():

@@ -21,7 +21,6 @@ from modembed import (
     random_walk_sampling,
     set_covariance,
     top_k_eigen,
-    walk_covariance,
 )
 
 from helpers import (
@@ -170,7 +169,7 @@ _SAMPLERS = {
     **{
         f"walk:{length}{'-exact' if exact else ''}": (
             lambda g, length=length, exact=exact: random_walk_sampling(g, length, exact),
-            lambda g, length=length, exact=exact: walk_covariance(g, length, exact),
+            lambda g, length=length, exact=exact: CovarianceOperator(g, length, exact),
         )
         for length in (1, 3, 16)
         for exact in (False, True)
@@ -237,9 +236,9 @@ def test_operator_validation():
     two_parts = Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
     assert np.abs(CovarianceOperator(two_parts) @ np.ones(4)).max() <= 1e-12
     with pytest.raises(ValueError, match="connected"):
-        walk_covariance(two_parts, 2)
+        CovarianceOperator(two_parts, 2)
     with pytest.raises(ValueError, match="walk length"):
-        walk_covariance(triangle(), 17)
+        CovarianceOperator(triangle(), 17)
     lone = Graph(n=1, edges=np.zeros((0, 2), dtype=int), weights=np.zeros(0))
     with pytest.raises(ValueError, match="at least one edge"):
         CovarianceOperator(lone)

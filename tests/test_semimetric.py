@@ -17,7 +17,9 @@ from modembed import (
     SampledGraph,
     SemiMetric,
     StochasticEmbedding,
+    edge_sampling,
     eigenmap_embedding,
+    eigenvalues,
     exp_distance_sampling,
     half_sq_euclidean,
     induce_cohesion,
@@ -30,6 +32,7 @@ from modembed import (
     resistance_distance,
     select_dimension,
     semimetric,
+    softmax_cluster,
     top_k_eigen,
 )
 from helpers import (
@@ -425,3 +428,48 @@ def test_load_points_errors(tmp_path):
 def test_constructors_reject_non_finite(build, value):
     with pytest.raises(ValueError):
         build(np.full((3, 3), value))
+
+
+_SEMI = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+# Each caller of spectral._check_symmetric, with a clean input it accepts.
+_GATED = {
+    "ModularityMatrix": (ModularityMatrix, lambda: modularity_matrix(edge_sampling(path3())).q),
+    "SampledGraph": (SampledGraph, lambda: edge_sampling(path3()).p),
+    "SemiMetric": (SemiMetric, lambda: _SEMI),
+    "CohesionMatrix": (CohesionMatrix, lambda: induce_cohesion(_SEMI).gamma),
+    "top_k_eigen": (lambda m: top_k_eigen(m, 1), lambda: _SEMI),
+    "eigenvalues": (eigenvalues, lambda: _SEMI),
+    "softmax_cluster": (lambda m: softmax_cluster(m, 2, max_sweeps=3), lambda: _SEMI),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("defect", ["nan", "non-square", "asymmetric"])
+@pytest.mark.parametrize("caller", sorted(_GATED))
+def test_one_gate_rejects_what_is_not_a_symmetric_matrix(caller, defect):
+    """Every consumer of a raw matrix checks it with the same gate: a NaN
+    pair, a dropped column and an asymmetry of 1e-11, above every
+    caller's tolerance, each raise the gate's own message."""
+    build, clean = _GATED[caller]
+    build(clean())
+    m = np.array(clean())
+    if defect == "nan":
+        m[0, 1] = m[1, 0] = np.nan
+    elif defect == "non-square":
+        m = m[:, :-1]
+    else:
+        m[0, 1] += 1e-11
+    message = "must be square" if defect == "non-square" else "must be finite and symmetric"
+    with pytest.raises(ValueError, match=message):
+        build(m)
+
+
+def test_each_type_keeps_its_symmetry_tolerance():
+    """An asymmetry of 5e-13 is within a semi-metric's 1e-12 and beyond Q's 1e-14."""
+    d = _SEMI.copy()
+    d[0, 1] += 5e-13
+    SemiMetric(d)
+    q = modularity_matrix(edge_sampling(path3())).q.copy()
+    q[0, 1] += 5e-13
+    with pytest.raises(ValueError, match="q must be finite and symmetric"):
+        ModularityMatrix(q)

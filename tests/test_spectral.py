@@ -24,7 +24,6 @@ from modembed import (
     select_dimension,
     spectral_embedding,
     top_k_eigen,
-    walk_covariance,
     weighted_distance_objective,
 )
 from modembed import spectral
@@ -397,7 +396,7 @@ def _covariance(g, sampler):
     if sampler == "edge":
         return CovarianceOperator(g)
     if sampler == "walk:3":
-        return walk_covariance(g, 3)
+        return CovarianceOperator(g, 3)
     return modularity_matrix(exp_distance_sampling(resistance_distance(g)))
 
 
@@ -469,7 +468,7 @@ def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
     """On edge and walk covariances the best gap among the top 8 values
     beats lambda_8 + n eps ||Q||, and the padded values pick the dense k."""
     g = planted_1440
-    q = CovarianceOperator(g) if length is None else walk_covariance(g, length, exact_length=exact)
+    q = CovarianceOperator(g) if length is None else CovarianceOperator(g, length, exact_length=exact)
     values = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
     assert values is not None and values.shape == (g.n,)
@@ -483,10 +482,10 @@ def test_top_spectrum_gives_up(case):
     j = 8 pays."""
     if case == "small":
         small, _ = planted_partition(8, 179, 0.1, 0.002, seed=0, ensure_connected=True)
-        q = walk_covariance(small, 3)
+        q = CovarianceOperator(small, 3)
     else:
         g = Graph.from_edges([(i, (i + 1) % 1500, 1.0) for i in range(1500)])
-        q = CovarianceOperator(g) if case == "cycle-edge" else walk_covariance(g, 3)
+        q = CovarianceOperator(g) if case == "cycle-edge" else CovarianceOperator(g, 3)
     assert spectral.top_spectrum(q) is None
 
 
@@ -500,7 +499,7 @@ def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
         return solve(m, n, k, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_lanczos", record)
-    assert spectral.top_spectrum(walk_covariance(planted_1440, 3)) is not None
+    assert spectral.top_spectrum(CovarianceOperator(planted_1440, 3)) is not None
     assert calls == [8]
 
 
