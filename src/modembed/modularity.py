@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import Graph
 from .sampling import SampledGraph, check_walkable
-from .spectral import _check_symmetric
+from .spectral import _check_symmetric, _norm_inf, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ModularityMatrix:
             raise ValueError("q must be non-empty")
         if not np.max(np.abs(q.sum(axis=1))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
-        if not np.max(np.abs(q)) <= 1.0 + 1e-15:
+        if not max(q.max(), -q.min()) <= 1.0 + 1e-15:
             raise ValueError("entries of q must lie in [-1, 1]")
         object.__setattr__(self, "q", q)
 
@@ -50,7 +50,7 @@ class ModularityMatrix:
     @property
     def norm_bound(self) -> float:
         """The largest absolute row sum, computed exactly."""
-        return float(np.max(np.abs(self.q).sum(axis=1)))
+        return _norm_inf(self.q)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.q @ x
@@ -70,9 +70,9 @@ class CovarianceOperator:
     the Q of :func:`~modembed.sampling.edge_sampling`, Newman's
     sparse-plus-rank-one modularity AX/2m - p_u (p_u^T X) (Newman 2006);
     the walk mixture is the co-occurrence matrix NetMF factorizes (Qiu
-    et al. 2018). For L > 1 the graph must pass the checks of
-    :func:`~modembed.sampling.random_walk_sampling`, connectivity among
-    them. Each product costs L sparse products, O(L m) per column, and
+    et al. 2018). The graph must pass the checks of
+    :func:`~modembed.sampling.random_walk_sampling`, connectivity only
+    for L > 1. Each product costs L sparse products, O(L m) per column, and
     loads scipy; no n x n array is formed until ``q`` is read, and the
     edge form's ``q`` and row-sum check run none.
     Symmetry holds by construction, and every row sum is at most
@@ -84,10 +84,7 @@ class CovarianceOperator:
     exact_length: bool = False
 
     def __post_init__(self) -> None:
-        if self.length != 1:
-            check_walkable(self.graph, self.length)
-        elif self.graph.edge_count == 0:
-            raise ValueError("the covariance of a sampled graph needs at least one edge")
+        check_walkable(self.graph, self.length)
         a_1 = self.graph.degrees[:, None] + 0.0  # A1, a copy: the edge form needs no product
         if not np.max(np.abs(self._apply(a_1, self.p_u.sum(keepdims=True)))) <= 1e-12:
             raise ValueError("rows of q must sum to zero")
@@ -131,9 +128,8 @@ class CovarianceOperator:
             step = g.sparse_adjacency @ (step / g.degrees[:, None])
             total = step if self.exact_length else total + step
         total /= (1 if self.exact_length else self.length) * g.total_weight
-        rows = max(1, 2**14 // pu_x.size)  # 128 kB row blocks: no n x n temporary
-        for s in range(0, self.n, rows):
-            total[s:s + rows] -= np.outer(self.p_u[s:s + rows], pu_x)
+        for b in _row_blocks(self.n, pu_x.size):  # no n x n temporary
+            total[b] -= np.outer(self.p_u[b], pu_x)
         return total
 
 
@@ -171,8 +167,11 @@ class Partition:
 
 
 def modularity_matrix(s: SampledGraph) -> ModularityMatrix:
-    """Covariance of the sampled pair distribution against its marginals."""
-    return ModularityMatrix(s.p - np.outer(s.p_u, s.p_u))
+    """Covariance of the sampled pair distribution against its marginals, in row blocks."""
+    q = np.empty(s.p.shape)
+    for b in _row_blocks(*q.shape):
+        np.subtract(s.p[b], np.multiply(s.p_u[b, None], s.p_u, out=q[b]), out=q[b])
+    return ModularityMatrix(q)
 
 
 def set_covariance(

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError
 from .graph import Graph, is_connected
 from .semimetric import SemiMetric
-from .spectral import _check_symmetric
+from .spectral import _check_symmetric, _symmetrize
 
 _MASS_TOL = 1e-12
 _EXP_RANGE = 700.0
@@ -49,11 +49,8 @@ class SampledGraph:
 
     @classmethod
     def from_matrix(cls, p: np.ndarray) -> "SampledGraph":
-        """Symmetrize defensively before validating."""
-        p = np.asarray(p, dtype=float)
-        # Rebinding p frees a temporary input before validation allocates.
-        p = 0.5 * (p + p.T)
-        return cls(p)
+        """Validate a symmetrized copy of p (the np.inf gate checks shape and finiteness)."""
+        return cls(_symmetrize(_check_symmetric(np.array(p, dtype=float), np.inf, "p")))
 
     @property
     def n(self) -> int:
@@ -105,13 +102,13 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
 
 def check_walkable(g: Graph, length: int) -> None:
     """Reject what random-walk sampling cannot start from: a graph with
-    no edges or more than one component, or a length outside
-    1..MAX_WALK_LENGTH."""
+    no edges, a length outside 1..MAX_WALK_LENGTH, or a disconnected graph
+    for more than one step (one step from stationarity is an edge draw)."""
     if g.edge_count == 0:
         raise ValueError("random-walk sampling requires at least one edge")
     if not 1 <= length <= MAX_WALK_LENGTH:
         raise ValueError(f"walk length must be in 1..{MAX_WALK_LENGTH}, got {length}")
-    if not is_connected(g):
+    if length > 1 and not is_connected(g):
         raise ValueError("random-walk sampling requires a connected graph")
 
 
@@ -133,5 +130,7 @@ def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledG
             f"|theta| * max distance = {abs(theta) * dmax:.3g} exceeds the "
             f"exponential range ({_EXP_RANGE:g})"
         )
-    weights = np.exp(theta * m)
-    return SampledGraph.from_matrix(weights / weights.sum())
+    w = np.multiply(theta, m)  # the one n x n array: exp and normalize in place
+    np.exp(w, out=w)
+    w /= w.sum()
+    return SampledGraph(_symmetrize(w))

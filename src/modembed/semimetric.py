@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _check_symmetric, _fix_signs, top_k_eigen
+from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks, _symmetrize, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
@@ -62,12 +62,15 @@ class CohesionMatrix:
     def __post_init__(self) -> None:
         g = _check_symmetric(self.gamma, _AXIOM_TOL, "cohesion matrix")
         if g.size:
-            rowsum_tol = _ROWSUM_ULPS * g.shape[0] * np.finfo(float).eps * np.max(np.abs(g))
+            rowsum_tol = _ROWSUM_ULPS * g.shape[0] * np.finfo(float).eps * max(g.max(), -g.min())
             if not np.max(np.abs(g.sum(axis=1))) <= rowsum_tol:
                 raise ValueError("zero-row-sum axiom violated")
             diag = np.diag(g)
-            if not np.min(diag[:, None] + diag[None, :] - 2.0 * g) >= -_AXIOM_TOL:
-                raise ValueError("self-cohesion dominance axiom violated")
+            for b in _row_blocks(*g.shape):
+                t = diag[b, None] + diag[None, :]
+                if not np.min(np.subtract(t, 2.0 * g[b], out=t)) >= -_AXIOM_TOL:
+                    raise ValueError("self-cohesion dominance axiom violated")
+                del t
         object.__setattr__(self, "gamma", g)
 
     @property
@@ -110,22 +113,22 @@ def induce_cohesion(d: SemiMetric | np.ndarray) -> CohesionMatrix:
     m = d.d
     row = m.mean(axis=1)
     grand = float(m.mean())
-    gamma = row[:, None] + row[None, :] - grand - m
-    gamma = 0.5 * (gamma + gamma.T)
-    return CohesionMatrix(gamma)
+    return CohesionMatrix(_symmetrize(row[:, None] + row[None, :] - grand - m))
 
 
 def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
-    """Recover the semi-metric d(u, w) = (g(u,u) + g(w,w)) / 2 - g(u, w)."""
+    """Recover the semi-metric d(u, w) = (g(u,u) + g(w,w)) / 2 - g(u, w), in row blocks."""
     if not isinstance(gamma, CohesionMatrix):
         gamma = CohesionMatrix(np.asarray(gamma, dtype=float))
     g = gamma.gamma
     diag = np.diag(g)
-    d = 0.5 * (diag[:, None] + diag[None, :]) - g
-    d = np.maximum(d, 0.0)
+    d = np.empty(g.shape)
+    for b in _row_blocks(*g.shape):
+        r = np.add(diag[b, None], diag[None, :], out=d[b])
+        r *= 0.5
+        np.maximum(np.subtract(r, g[b], out=r), 0.0, out=r)
     np.fill_diagonal(d, 0.0)
-    d = 0.5 * (d + d.T)
-    return SemiMetric(d)
+    return SemiMetric(_symmetrize(d))
 
 
 # ===================================================================
@@ -150,11 +153,13 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
         raise ValueError("Laplacian pseudo-inverse requires a connected graph")
     lap = laplacian(g)
     s = float(np.trace(lap)) / g.n or 1.0  # a lone node has L = [0]
-    x = np.linalg.inv(lap + s / g.n)
-    x = 0.5 * (x + x.T)
+    lap += s / g.n
+    x = _symmetrize(np.linalg.inv(lap))
+    del lap  # x, the only n x n array from here on, is centred in place
     r = x.mean(axis=1)
     # r_u + r_w adds in either order to the same bits, so x stays symmetric.
-    x -= r[:, None] + r[None, :]
+    for b in _row_blocks(*x.shape):
+        x[b] -= r[b, None] + r[None, :]
     x += r.mean()
     return CohesionMatrix(x)
 
@@ -165,10 +170,11 @@ def resistance_distance(g: Graph) -> SemiMetric:
     Equivalently the semi-metric induced by twice the pseudo-inverse;
     doubling the pseudo-inverse is what makes the duality close, since
     double-centering the resistance gives back 2 gamma exactly. The
-    doubling is applied to the induced distances, which is exact, so
-    the pseudo-inverse is validated once, at its own scale.
+    doubling overwrites the induced distances, which is exact, so the
+    pseudo-inverse is validated once, at its own scale.
     """
-    return SemiMetric(2.0 * induce_metric(laplacian_pinv(g)).d)
+    d = induce_metric(laplacian_pinv(g)).d  # no caller holds this array
+    return SemiMetric(np.multiply(d, 2.0, out=d))
 
 
 def eigenmap_embedding(g: Graph, k: int) -> Embedding:
@@ -197,10 +203,9 @@ def half_sq_euclidean(x: DataMatrix | np.ndarray) -> SemiMetric:
     pts = x.x
     sq = (pts * pts).sum(axis=1)
     d = 0.5 * (sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T))
-    d = np.maximum(d, 0.0)
+    np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
-    d = 0.5 * (d + d.T)
-    return SemiMetric(d)
+    return SemiMetric(_symmetrize(d))
 
 
 def pca_embedding(

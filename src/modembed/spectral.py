@@ -106,15 +106,42 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of n rows; a block of an n x ``width`` array is about 128 kB."""
+    rows = max(1, 2**14 // max(1, width))
+    return [slice(s, s + rows) for s in range(0, n, rows)]
+
+
+def _symmetrize(m: np.ndarray) -> np.ndarray:
+    """Overwrite square m with (m + m^T) / 2, one triangle block at a time,
+    and return it; addition commutes, so the bits are ``0.5 * (m + m.T)``'s."""
+    for b in _row_blocks(*m.shape):
+        t = m[b.start:, b].T.copy()  # copies, unlike ufuncs, take no iterator buffers
+        t += m[b, b.start:]
+        t *= 0.5
+        m[b, b.start:], m[b.start:, b] = t, t.T
+        del t  # before the next block's t: one block alive at a time
+    return m
+
+
 def _check_symmetric(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """m as a float array, square and within ``tol`` of its transpose; a
-    NaN or infinite entry is not."""
+    NaN or infinite entry is not. Checked a block of rows at a time."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square")
-    if m.size and not np.max(np.abs(m - m.T)) <= tol:
-        raise ValueError(f"{name} must be finite and symmetric")
+    for b in _row_blocks(*m.shape):
+        t = m[:, b].T.copy()
+        t -= m[b]
+        if not np.max(np.abs(t, out=t)) <= tol:
+            raise ValueError(f"{name} must be finite and symmetric")
+        del t
     return m
+
+
+def _norm_inf(m: np.ndarray) -> float:
+    """The largest absolute row sum, each row summed as in the whole array."""
+    return max(float(np.abs(m[b]).sum(axis=1).max()) for b in _row_blocks(*m.shape))
 
 
 def _lanczos(
@@ -195,7 +222,7 @@ def top_k_eigen(
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     if method not in ("dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
-    norm = m.norm_bound if checked else float(np.max(np.abs(m).sum(axis=1)))
+    norm = m.norm_bound if checked else _norm_inf(m)
     if method == "lanczos" and k < n and norm > 0:
         values, vectors = _lanczos(m, n, k, max_iter)
     else:

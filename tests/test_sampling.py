@@ -95,6 +95,16 @@ def test_walk_rejects_bad_length_and_disconnected():
         random_walk_sampling(two, 2)
 
 
+def test_one_step_walks_need_no_connected_graph():
+    """One step from stationarity is an edge draw, on any graph with an edge."""
+    two_triangles = Graph.from_edges(
+        [(u, w, 1.0) for u, w in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]])
+    p = random_walk_sampling(two_triangles, 1).p
+    assert p.tobytes() == edge_sampling(two_triangles).p.tobytes()
+    with pytest.raises(ValueError, match="connected"):
+        random_walk_sampling(two_triangles, 2)
+
+
 def test_exact_length_mode():
     g = random_connected_graph(np.random.default_rng(5), 12)
     np.testing.assert_array_equal(
