@@ -182,14 +182,19 @@ def _spectrum(
         values = top_spectrum(q)
     if values is None:
         values = eigenvalues(q)
-    return values, args.dim or select_dimension(values, q.n)
+    return values, args.dim or select_dimension(values)
 
 
 def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray:
-    """The top k eigenvectors of Q from one solve: ARPACK's Lanczos
-    iteration when ``krylov_pays(k, n)``, on the edge and walk operators
-    without a dense Q, otherwise the dense decomposition."""
-    return top_k_eigen(q, k, method="lanczos" if krylov_pays(k, q.n) else "dense").vectors
+    """The top k eigenvectors of Q: ARPACK's Lanczos iteration when
+    ``krylov_pays(k, n)``, on the edge and walk operators without a dense
+    Q, otherwise, or when that iteration fails, the dense decomposition."""
+    if krylov_pays(k, q.n):
+        try:
+            return top_k_eigen(q, k, method="lanczos").vectors
+        except NumericalError:  # as _spectrum does when top_spectrum gives up
+            pass
+    return top_k_eigen(q, k).vectors
 
 
 # ===================================================================
@@ -234,7 +239,7 @@ def _id_rows(g: Graph) -> list[tuple]:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     q = _covariance(args, _load_graph(args))
     values = eigenvalues(q)
-    _write_tsv(args.output, _spectrum_rows(values, select_dimension(values, q.n)))
+    _write_tsv(args.output, _spectrum_rows(values, select_dimension(values)))
     return 0
 
 
@@ -266,9 +271,10 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     n = data.x.shape[0]
     if args.dim is not None and args.dim > n:
         raise _UsageError(f"--dim {args.dim} exceeds the point count {n}")
-    # auto reads every singular value, plus one zero for the Gram matrix's other n - p.
+    # auto reads every singular value, plus one zero for the Gram matrix's other n - p; for
+    # p >= n that zero follows sigma_n^2 of centred data, roundoff below the gap's floor.
     emb, scales = pca_embedding(data, args.dim or min(data.x.shape))
-    k = args.dim or select_dimension(np.append(scales**2, 0.0), n)
+    k = args.dim or select_dimension(np.append(scales**2, 0.0))
     h = emb.h[:, :k]
     _write_tsv(args.output, _embedding_rows(names, h * scales[:k] if args.scaled else h))
     return 0

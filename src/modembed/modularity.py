@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import Graph
 from .sampling import SampledGraph, check_walkable
-from .spectral import _check_symmetric, _norm_inf, _row_blocks
+from .spectral import _check_symmetric, _norm_inf, _row_blocks, _symmetrize
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ class CovarianceOperator:
         u, w = self.graph.edges.T
         a[u, w] = a[w, u] = self.graph.weights
         q = self._apply(a, self.p_u)
-        if self.length > 1:  # A / 2m - p_u p_u^T alone is exactly symmetric
-            q += q.T
-            q *= 0.5
-        return q
+        return _symmetrize(q) if self.length > 1 else q  # A / 2m - p_u p_u^T is symmetric
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -197,12 +197,18 @@ def eigenmap_embedding(g: Graph, k: int) -> Embedding:
 
 
 def half_sq_euclidean(x: DataMatrix | np.ndarray) -> SemiMetric:
-    """Half squared Euclidean distances between rows of the data matrix."""
+    """Half squared Euclidean distances between rows of the data matrix,
+    (|x_u|^2 + |x_w|^2 - 2 x_u . x_w) / 2, written over the Gram matrix a
+    row block at a time; adding -2 x_u . x_w rounds as subtracting it does."""
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
     pts = x.x
     sq = (pts * pts).sum(axis=1)
-    d = 0.5 * (sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T))
+    d = pts @ pts.T  # the only n x n array
+    for b in _row_blocks(*d.shape):
+        d[b] *= -2.0
+        d[b] += sq[b, None] + sq[None, :]
+        d[b] *= 0.5
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return SemiMetric(_symmetrize(d))

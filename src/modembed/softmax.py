@@ -171,25 +171,18 @@ def _quadratic(b, h: np.ndarray) -> float:
     return total
 
 
-def softmax_sweep(
-    q: np.ndarray,
-    h: np.ndarray,
-    theta: float,
-    clamped: np.ndarray | None = None,
-) -> np.ndarray:
+def softmax_sweep(q: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
     """One full pass of in-place node updates in ascending index order.
 
-    Rows with a single positive entry are fixed points of the update and
-    are skipped, as are rows flagged in ``clamped``; the live rows are
-    chosen once, at the start of the sweep. Each update sees the rows
-    already rewritten earlier in the same sweep.
+    Rows with a single positive entry, labeled rows among them, are fixed
+    points of the update and are skipped; the live rows are chosen once,
+    at the start of the sweep. Each update sees the rows already
+    rewritten earlier in the same sweep.
     """
     f = q if isinstance(q, _Form) else _form(q)
     row, theta = _row_product(f.b), theta * f.scale
     g = None if f.left is None else f.right.T @ h
     live = (h > 0).sum(axis=1) > 1
-    if clamped is not None:
-        live &= ~np.asarray(clamped, dtype=bool)
     for u in np.flatnonzero(live).tolist():
         old, z = h[u].copy(), row(u, h) - f.diag[u] * h[u]
         _reweight(h, u, z if g is None else z + f.left[u] @ g, theta)

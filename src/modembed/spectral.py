@@ -29,6 +29,7 @@ _SIGN_TOL = 1e-12
 _RESIDUAL_BOUND = 1e-8
 _ORTHO_TOL = 1e-10
 _SPECTRUM_ULPS = 16  # times n * eps: the roundoff of n-term sums
+_MAX_RESTARTS = 10000  # ARPACK's restart budget for every Lanczos solve
 
 
 # ===================================================================
@@ -145,7 +146,7 @@ def _norm_inf(m: np.ndarray) -> float:
 
 
 def _lanczos(
-    m: "np.ndarray | Covariance", n: int, k: int, max_iter: int, vectors: bool = True
+    m: "np.ndarray | Covariance", n: int, k: int, vectors: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """ARPACK's implicitly restarted Lanczos iteration for the algebraically
     largest k of n pairs, 1 <= k < n.
@@ -154,7 +155,7 @@ def _lanczos(
     false. m is touched only through products with one vector. The start
     vector, and any fresh vector ARPACK draws when its Krylov space
     closes on an invariant subspace, come from one fixed-seed generator,
-    so reruns give the same bytes. ``max_iter`` caps the restarts.
+    so reruns give the same bytes. ``_MAX_RESTARTS`` caps the restarts.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -162,7 +163,7 @@ def _lanczos(
     op = LinearOperator((n, n), matvec=m.__matmul__, dtype=float)
     try:
         out = eigsh(op, k, which="LA", v0=rng.uniform(-1.0, 1.0, n), rng=rng,
-                    maxiter=max_iter, return_eigenvectors=vectors)
+                    maxiter=_MAX_RESTARTS, return_eigenvectors=vectors)
     except ArpackError as exc:
         raise NumericalError(f"Lanczos iteration failed: {exc}") from exc
     if not vectors:
@@ -184,9 +185,7 @@ def krylov_pays(k: int, n: int) -> bool:
     return 144 * (k + 2) <= n
 
 
-def top_k_eigen(
-    m: "np.ndarray | Covariance", k: int, max_iter: int = 10000, method: str = "dense"
-) -> EigenPairs:
+def top_k_eigen(m: "np.ndarray | Covariance", k: int, method: str = "dense") -> EigenPairs:
     """Compute the K algebraically largest eigenpairs of a symmetric matrix.
 
     Parameters
@@ -199,12 +198,10 @@ def top_k_eigen(
         operator forms on first use.
     k : int
         Number of pairs, 1 <= k <= n.
-    max_iter : int
-        Cap on the number of ARPACK restarts for the iterative route,
-        which runs to machine precision.
     method : str
         "dense" for a full LAPACK decomposition, "lanczos" for ARPACK's
-        implicitly restarted Lanczos iteration. The Lanczos route solves
+        implicitly restarted Lanczos iteration, run to machine precision
+        within a fixed restart budget. The Lanczos route solves
         densely when ARPACK cannot: for k == n, or for a matrix whose
         inf-norm (``norm_bound`` for a covariance) is zero.
 
@@ -224,7 +221,7 @@ def top_k_eigen(
         raise ValueError(f"unknown eigensolver method {method!r}")
     norm = m.norm_bound if checked else _norm_inf(m)
     if method == "lanczos" and k < n and norm > 0:
-        values, vectors = _lanczos(m, n, k, max_iter)
+        values, vectors = _lanczos(m, n, k)
     else:
         m = getattr(m, "q", m)
         values, vectors = np.linalg.eigh(m)
@@ -260,7 +257,7 @@ def eigenvalues(m: "np.ndarray | Covariance") -> np.ndarray:
     return values
 
 
-def select_dimension(values: Sequence[float] | np.ndarray, k_max: int) -> int:
+def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     """Pick an embedding dimension at the largest spectral gap.
 
     Scans positions k whose k-th eigenvalue exceeds n eps max|lambda|,
@@ -273,17 +270,14 @@ def select_dimension(values: Sequence[float] | np.ndarray, k_max: int) -> int:
         raise ValueError("need at least two eigenvalues to select a dimension")
     if not np.all(np.diff(values) <= 1e-12):
         raise ValueError("eigenvalues must be finite and sorted in descending order")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    upper = min(k_max, values.size)
     floor = values.size * np.finfo(float).eps * np.abs(values).max()
-    gaps = np.where(values[:upper - 1] > floor, values[:upper - 1] - values[1:upper], -np.inf)
-    return int(np.argmax(gaps)) + 1 if gaps.size else 1
+    gaps = np.where(values[:-1] > floor, values[:-1] - values[1:], -np.inf)
+    return int(np.argmax(gaps)) + 1
 
 
 def top_spectrum(q: "Covariance") -> np.ndarray | None:
     """The top of Q's spectrum, completed to n values, when that settles
-    ``select_dimension(values, n)``; otherwise None.
+    ``select_dimension(values)``; otherwise None.
 
     ARPACK computes the top j = 8, 16, ... eigenvalues while
     ``krylov_pays(j, n)``. Q 1 = 0, so 0 is an exact eigenvalue of Q; let
@@ -297,7 +291,7 @@ def top_spectrum(q: "Covariance") -> np.ndarray | None:
     than lambda_j + tau, no gap further down can tie it, and the top j
     padded with -tau give the k the whole spectrum gives.
 
-    Exactly: the result equals ``select_dimension(eigenvalues(q), n)``
+    Exactly: the result equals ``select_dimension(eigenvalues(q))``
     whenever the dense solver's copy of the zero eigenvalue lies in
     [-tau, floor], the premise the floor already rests on, and ARPACK's
     converged Ritz values are the top j.
@@ -310,7 +304,7 @@ def top_spectrum(q: "Covariance") -> np.ndarray | None:
     tau = n * np.finfo(float).eps * q.norm_bound
     try:
         while krylov_pays(j, n):
-            top = _lanczos(q, n, j, 10000, vectors=False)[0]
+            top = _lanczos(q, n, j, vectors=False)[0]
             if top[-1] > tau and np.max(top[:-1] - top[1:]) > top[-1] + tau:
                 return np.concatenate([top, np.full(n - j, -tau)])
             j *= 2

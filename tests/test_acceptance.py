@@ -67,7 +67,7 @@ def _classify_f1(g, dataset, seed, sampler):
     hard assignment, F1 on the holdout."""
     q = modularity_matrix(sampler(g))
     pairs = top_k_eigen(q.q, q.n)
-    k = select_dimension(pairs.values, q.n)
+    k = select_dimension(pairs.values)
     emb = spectral_embedding(q, k)
     recomposed = zero_diagonal(reconstruct(emb))
     label_map, holdout = train_test_split(dataset, 0.1, seed=seed)

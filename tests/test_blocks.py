@@ -13,11 +13,13 @@ import pytest
 
 from modembed import (
     CohesionMatrix,
+    CovarianceOperator,
     Graph,
     ModularityMatrix,
     SampledGraph,
     SemiMetric,
     exp_distance_sampling,
+    half_sq_euclidean,
     induce_metric,
     laplacian,
     laplacian_pinv,
@@ -140,3 +142,37 @@ def test_in_place_chain_is_bit_equal_to_the_out_of_place_one(build):
     assert len(_row_blocks(g.n, g.n)) > 2
     q = modularity_matrix(exp_distance_sampling(resistance_distance(g))).q
     assert q.tobytes() == _reference_q(g).tobytes()
+
+
+def _reference_half_sq(pts):
+    """half_sq_euclidean's whole-array formula, before it ran in row blocks."""
+    sq = (pts * pts).sum(axis=1)
+    d = 0.5 * (sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T))
+    d = np.maximum(d, 0.0)
+    np.fill_diagonal(d, 0.0)
+    return 0.5 * (d + d.T)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_half_sq_euclidean_is_bit_equal_and_holds_one_array(seed):
+    """Written over the Gram matrix a row block at a time, the distances
+    keep the whole-array formula's bits, at scales from 1e-5 to 1e5, and
+    the peak is that one n x n array plus a few blocks."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((_N, 16)) * 10.0 ** rng.uniform(-5, 5, (_N, 1))
+    assert half_sq_euclidean(pts).d.tobytes() == _reference_half_sq(pts).tobytes()
+    assert _peak(half_sq_euclidean, pts) <= 1.1
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["mixture", "exact"])
+def test_walk_q_is_symmetrized_in_place_to_the_same_bits(exact):
+    """The walk operator's dense q averages its walk products with their
+    transpose block by block, with the bits of 0.5 * (q + q^T)."""
+    g, _ = planted_partition(3, 100, 0.1, 0.01, seed=0, ensure_connected=True)
+    op = CovarianceOperator(g, 3, exact_length=exact)
+    a = np.zeros((g.n, g.n))
+    u, w = g.edges.T
+    a[u, w] = a[w, u] = g.weights
+    walks = op._apply(a, op.p_u)
+    assert np.abs(walks - walks.T).max() > 0  # there is roundoff to average away
+    assert op.q.tobytes() == (0.5 * (walks + walks.T)).tobytes()

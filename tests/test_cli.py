@@ -18,6 +18,7 @@ from modembed import (
     select_dimension,
     semimetric,
     softmax_cluster,
+    spectral,
     top_k_eigen,
     zero_diagonal,
 )
@@ -798,6 +799,23 @@ def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
     np.testing.assert_allclose(theta, top_k_eigen(q, 4).values, rtol=0, atol=bound)
 
 
+def test_embed_solves_densely_when_lanczos_fails(tmp_path, monkeypatch):
+    """embed --dim 2 on a 600-node path takes the Lanczos route; with a
+    one-restart budget ARPACK gives up, and embed writes the dense
+    route's bytes instead of exiting 3."""
+    graph = tmp_path / "path.txt"
+    graph.write_text("".join(f"{i} {i + 1}\n" for i in range(599)))
+    dense, fallback = tmp_path / "dense.tsv", tmp_path / "fallback.tsv"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "krylov_pays", lambda k, n: False)
+        assert main(["embed", str(graph), "--dim", "2", "--output", str(dense)]) == 0
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+    calls = _record_eigen_calls(monkeypatch)
+    assert main(["embed", str(graph), "--dim", "2", "--output", str(fallback)]) == 0
+    assert calls == [(2, "lanczos"), (2, "dense")]
+    assert fallback.read_bytes() == dense.read_bytes()
+
+
 def _refuse_eigenpairs(*args, **kwargs):
     raise AssertionError("eigenvectors were computed")
 
@@ -828,7 +846,7 @@ def test_auto_dimension_takes_the_krylov_route(tmp_path, monkeypatch, sampler):
     assert main(argv + ["--emit-spectrum", str(spec)]) == 0
     sampled = edge_sampling(g) if sampler == "edge" else random_walk_sampling(g, 3)
     q = modularity_matrix(sampled).q
-    k = select_dimension(np.linalg.eigvalsh(q)[::-1], g.n)
+    k = select_dimension(np.linalg.eigvalsh(q)[::-1])
     assert krylov_pays(k, g.n) and calls == [(k, "lanczos")]
     assert spec.read_text().splitlines()[-1] == f"# selected_k\t{k}"
     _, body = read_table(out)

@@ -420,7 +420,7 @@ def test_load_points_errors(tmp_path):
         lambda a: StochasticEmbedding(a, 1.0, 0, [], False),
         lambda a: EigenPairs(a[0], np.eye(3)),
         lambda a: top_k_eigen(a, 1),
-        lambda a: select_dimension(a[0], 3),
+        lambda a: select_dimension(a[0]),
     ],
     ids=["SampledGraph", "ModularityMatrix", "SemiMetric", "CohesionMatrix", "DataMatrix",
          "Embedding", "StochasticEmbedding", "EigenPairs", "top_k_eigen", "select_dimension"],

@@ -126,17 +126,16 @@ def test_sweep_preserves_row_stochasticity():
 
 
 def test_clamped_rows_are_bit_identical():
+    """Labeled rows are one-hot, and sweeps leave one-hot rows as they are."""
     rng = np.random.default_rng(17)
     q = random_zero_diag_symmetric(rng, 10)
     h = rng.uniform(0.1, 1.0, size=(10, 3))
     h /= h.sum(axis=1, keepdims=True)
     h[2] = [1.0, 0.0, 0.0]
     h[7] = [0.0, 0.0, 1.0]
-    clamped = np.zeros(10, dtype=bool)
-    clamped[[2, 7]] = True
     frozen2, frozen7 = h[2].copy(), h[7].copy()
     for _ in range(3):
-        softmax_sweep(q, h, theta=100.0, clamped=clamped)
+        softmax_sweep(q, h, theta=100.0)
     assert np.array_equal(h[2], frozen2)
     assert np.array_equal(h[7], frozen7)
 

@@ -110,12 +110,13 @@ def test_power_route_handles_degenerate_pair():
     assert angle <= 1e-6
 
 
-def test_power_route_reports_non_convergence():
+def test_power_route_reports_non_convergence(monkeypatch):
     rng = np.random.default_rng(3)
     m = rng.standard_normal((50, 50))
     m = 0.5 * (m + m.T)
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 3)
     with pytest.raises(NumericalError):
-        top_k_eigen(m, 2, method="lanczos", max_iter=3)
+        top_k_eigen(m, 2, method="lanczos")
 
 
 def test_power_route_converges_on_a_long_cycle():
@@ -179,53 +180,49 @@ def test_determinism_bit_identical():
 
 
 def test_select_dimension_cases():
-    assert select_dimension([0.5, 0.48, 0.1, 0.05], 4) == 2
-    assert select_dimension([1.0, 0.2, 0.1], 3) == 1
-    assert select_dimension([-0.1, -0.2], 2) == 1  # no positive value: fallback
-    assert select_dimension([0.5, 0.3, 0.1], 3) == 1  # tie: smallest index wins
-    assert select_dimension([0.5, 0.48, 0.1, 0.05], 2) == 1  # k_max caps the range
+    assert select_dimension([0.5, 0.48, 0.1, 0.05]) == 2
+    assert select_dimension([1.0, 0.2, 0.1]) == 1
+    assert select_dimension([-0.1, -0.2]) == 1  # no positive value: fallback
+    assert select_dimension([0.5, 0.3, 0.1]) == 1  # tie: smallest index wins
 
 
 def test_select_dimension_skips_nonpositive_candidates():
     # index 1 has a tiny gap; index 2 has the largest gap but lambda_2 <= 0
-    assert select_dimension([0.5, -0.01, -0.9], 3) == 1
+    assert select_dimension([0.5, -0.01, -0.9]) == 1
 
 
 def test_select_dimension_ignores_roundoff_above_zero():
     """Every Q has an exact zero eigenvalue. On the path a-b-c eigvalsh
     returns it as 1.45e-17 and 3.4e-19; neither counts as positive, since
     both lie below n eps max|lambda|. A value above that floor does."""
-    assert select_dimension([1.45e-17, 3.4e-19, -0.375], 3) == 1
-    assert select_dimension([1e-3, 1e-14, -1.0], 3) == 2
+    assert select_dimension([1.45e-17, 3.4e-19, -0.375]) == 1
+    assert select_dimension([1e-3, 1e-14, -1.0]) == 2
 
 
-def _select_dimension_loop(values, k_max):
+def _select_dimension_loop(values):
     """The scalar loop that select_dimension vectorizes, as its reference."""
     floor = len(values) * np.finfo(float).eps * np.abs(values).max()
     best_k, best_gap = 1, -np.inf
-    for k in range(1, min(k_max, len(values))):
+    for k in range(1, len(values)):
         if values[k - 1] > floor and values[k - 1] - values[k] > best_gap:
             best_k, best_gap = k, values[k - 1] - values[k]
     return best_k
 
 
 def test_select_dimension_matches_the_scalar_loop():
-    """Ties (rounded values), values within roundoff of zero and every k_max."""
+    """Ties (rounded values) and values within roundoff of zero."""
     rng = np.random.default_rng(41)
     for _ in range(500):
         n = int(rng.integers(2, 12))
         values = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
         values[rng.integers(n)] = rng.choice([0.0, 1e-17, -1e-17, 3e-16])
         values = np.sort(values)[::-1]
-        for k_max in range(1, n + 2):
-            assert select_dimension(values, k_max) == _select_dimension_loop(values, k_max)
+        assert select_dimension(values) == _select_dimension_loop(values)
 
 
 def test_select_dimension_errors():
     with pytest.raises(ValueError):
-        select_dimension([0.5], 3)
-    with pytest.raises(ValueError):
-        select_dimension([0.5, 0.1], 0)
+        select_dimension([0.5])
 
 
 def test_embedding_triangle_top_one():
@@ -376,10 +373,11 @@ def test_power_route_edge_cases(n, kind):
         assert residuals.max() <= 1e-8 * scale
 
 
-def test_power_route_converges_on_planted_partition_within_500_products():
+def test_power_route_converges_on_planted_partition_within_500_products(monkeypatch):
     g, _ = planted_partition(8, 50, 0.3, 0.01, seed=0, ensure_connected=True)
     q = _q(g).q
-    power = top_k_eigen(q, 8, method="lanczos", max_iter=500)
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 500)
+    power = top_k_eigen(q, 8, method="lanczos")
     dense = top_k_eigen(q, 8)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-8)
 
@@ -472,7 +470,7 @@ def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
     values = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
     assert values is not None and values.shape == (g.n,)
-    assert select_dimension(values, g.n) == select_dimension(eigenvalues(q), g.n)
+    assert select_dimension(values) == select_dimension(eigenvalues(q))
 
 
 @pytest.mark.parametrize("case", ["cycle-edge", "cycle-walk:3", "small"])
@@ -546,7 +544,7 @@ def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin):
         return
     np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
     assert np.all(values[8:] == -tau)
-    assert select_dimension(values, q.n) == 3
+    assert select_dimension(values) == 3
 
 
 def test_top_spectrum_ignores_the_negative_spectrum():
@@ -558,7 +556,7 @@ def test_top_spectrum_ignores_the_negative_spectrum():
     assert values is not None
     np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
     assert np.all(values[8:] == -q.n * np.finfo(float).eps * 5.0)
-    assert select_dimension(values, q.n) == select_dimension(np.sort(q.values)[::-1], q.n) == 3
+    assert select_dimension(values) == select_dimension(np.sort(q.values)[::-1]) == 3
 
 
 def test_top_spectrum_needs_lambda_j_above_the_allowance():
@@ -580,5 +578,5 @@ def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
     unit = 2048 * np.finfo(float).eps  # tau per unit of norm_bound, 2**-41
     padded = spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.75 / unit))
     assert padded.shape == (2048,) and np.all(padded[8:] == -0.75)
-    assert select_dimension(padded, 2048) == 1
+    assert select_dimension(padded) == 1
     assert spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.875 / unit)) is None
