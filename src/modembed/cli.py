@@ -19,6 +19,8 @@ import argparse
 import re
 import sys
 import zlib
+from contextlib import nullcontext
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -202,33 +204,36 @@ def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray
 # ===================================================================
 
 
-def _write_tsv(path: str, rows: list[tuple]) -> None:
-    """Write rows as tab-separated lines to ``path``, or stdout for '-'.
+def _write_tsv(path: str, rows: Iterable[tuple]) -> None:
+    """Write rows as tab-separated lines to ``path``, or stdout for '-',
+    each line as soon as it is formatted.
 
     Floats are printed with %.17g, so values round-trip exactly.
     """
-    text = "".join(
-        "\t".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows
-    )
-    if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="\n") as fh:
+        fh.writelines(
+            "\t".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
 
 
-def _embedding_rows(ids, h: np.ndarray) -> list[tuple]:
+def _table(head: tuple, body: Iterable[tuple]) -> Iterator[tuple]:
+    yield head
+    yield from body
+
+
+def _embedding_rows(ids, h: np.ndarray) -> Iterator[tuple]:
     head = ("node", *(f"dim_{j + 1}" for j in range(h.shape[1])))
-    return [head, *((name, *row) for name, row in zip(ids, h))]
+    return _table(head, ((name, *row.tolist()) for name, row in zip(ids, h)))
 
 
-def _spectrum_rows(values: np.ndarray, selected: int) -> list[tuple]:
-    return [("k", "lambda"), *enumerate(values, start=1), ("# selected_k", selected)]
+def _spectrum_rows(values: np.ndarray, selected: int) -> Iterator[tuple]:
+    yield from _table(("k", "lambda"), enumerate(values, start=1))
+    yield ("# selected_k", selected)
 
 
-def _id_rows(g: Graph) -> list[tuple]:
-    return [(name, i) for i, name in enumerate(g.ids)]
+def _id_rows(g: Graph) -> Iterator[tuple]:
+    return ((name, i) for i, name in enumerate(g.ids))
 
 
 # ===================================================================
@@ -292,9 +297,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         normalize=args.normalize,
     )
     assignment = hard_assign(result).assignment
-    _write_tsv(args.output, [("node", "cluster"), *zip(g.ids, assignment)])
+    _write_tsv(args.output, _table(("node", "cluster"), zip(g.ids, assignment)))
     if args.emit_history:
-        _write_tsv(args.emit_history, [("sweep", "objective"), *enumerate(result.history)])
+        _write_tsv(args.emit_history, _table(("sweep", "objective"), enumerate(result.history)))
     return 0
 
 

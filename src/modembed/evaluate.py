@@ -15,7 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, merge_edges
+
+# Uniforms per row block of planted_partition's draw: 512 KB of float64.
+_DRAW_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -181,16 +184,19 @@ def planted_partition(
             stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    same = labels[:, None] == labels[None, :]
-    prob = np.where(same, p_in, p_out)
-    draw = rng.random((n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    present = upper & (draw < prob)
-    edges = np.argwhere(present)
+    # One (n, n) uniform draw, taken a row block at a time from the same stream: the same
+    # pairs (u, w), u < w, without an n x n array.
+    rows, parts = max(1, _DRAW_BLOCK // n), []
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))[:, None]
+        prob = np.where(labels[block] == labels, p_in, p_out)
+        present = (rng.random(prob.shape) < prob) & (np.arange(n) > block)
+        parts.append(np.argwhere(present) + [start, 0])
+    edges = np.concatenate(parts)
     if ensure_connected:
         edges = _repair_connectivity(edges, labels, rng)
-    g = Graph.from_edges([(u, w, 1.0) for u, w in edges.tolist()], n=n)
-    return g, LabeledDataset(labels=labels, n_classes=blocks)
+    ends, weights = merge_edges(edges, np.ones(edges.shape[0]), n)
+    return Graph(n, ends, weights), LabeledDataset(labels=labels, n_classes=blocks)
 
 
 def _repair_connectivity(

@@ -12,6 +12,9 @@ edges directly.
 
 from __future__ import annotations
 
+import io
+import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,12 +66,15 @@ class Graph:
                 i = int(np.argmax(bad))
                 raise ValueError(f"edge ({u[i]}, {w[i]}) {problem}")
         # u·n + w orders pairs as (u, w) do and is injective while n² < 2⁶³ (n < 3.03e9).
-        keys, counts = np.unique(u * self.n + w, return_counts=True)
-        if (counts > 1).any():
-            raise ValueError(f"duplicate edge {divmod(int(keys[np.argmax(counts > 1)]), self.n)}")
-        for name, array in (("edges", edges), ("weights", weights)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        keys = u * self.n + w
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            raise ValueError(f"duplicate edge {divmod(int(keys[np.argmax(repeated)]), self.n)}")
+        del keys, repeated
+        for name, values in (("edges", edges), ("weights", weights)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         with np.errstate(over="ignore"):  # an overflowing degree sum is rejected, not warned
             isolated, total = np.flatnonzero(self.degrees == 0), self.total_weight
         if self.n >= 2 and isolated.size:
@@ -95,20 +101,12 @@ class Graph:
         table = np.array(list(edges) or np.empty((0, 3)), dtype=float)
         if table.ndim != 2 or table.shape[1] != 3:
             raise ValueError("edges must be (u, w, weight) triples")
-        ends = np.sort(_endpoints(table[:, :2]), axis=1)
-        low, top = min(int(ends.min(initial=0)), 0), int(ends.max(initial=-1)) + 1
-        n = top if n is None else n
+        ends = _endpoints(table[:, :2])
+        n = int(ends.max(initial=-1)) + 1 if n is None else n
         ids = tuple(ids) if ids is not None else ()
-        span = max(n, top) - low
-        # lo·span + hi over endpoints shifted to start at 0 orders pairs as (lo, hi) and is
-        # injective while span² ≤ 2⁶³ (n < 3.03e9); past that, Graph checks them unmerged.
-        if span * span > 2**63:
-            return cls(n, ends[np.lexsort(ends.T[::-1])], table[:, 2], ids)
-        key = (ends[:, 0] - low) * span + ends[:, 1] - low
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        pairs, weights = ends[first], np.bincount(inverse, weights=table[:, 2])
-        del table, ends, key, first, inverse  # Graph copies what it keeps: hold no more
-        return cls(n, pairs, weights, ids)
+        ends, weights = merge_edges(ends, table[:, 2], n)
+        del table  # Graph copies what it keeps: hold no more
+        return cls(n, ends, weights, ids)
 
     @property
     def edge_count(self) -> int:
@@ -192,6 +190,37 @@ def _endpoints(ends) -> np.ndarray:
     return ends.astype(np.int64).reshape(-1, 2)
 
 
+def merge_edges(
+    ends: np.ndarray, weights: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unordered pairs of ``ends`` in canonical order, with
+    the weights of each pair's entries summed in input order.
+
+    ``ends`` is an (m, 2) int64 array, and each row is sorted in place.
+    The result holds each pair once as (u, w) with u < w, ordered as
+    (u, w) are, which is what :class:`Graph` keeps.
+    """
+    ends.sort(axis=1)
+    low, top = min(int(ends.min(initial=0)), 0), int(ends.max(initial=-1)) + 1
+    span = max(n, top) - low
+    # lo·span + hi over endpoints shifted to start at 0 orders pairs as (lo, hi) and is
+    # injective while span² ≤ 2⁶³ (n < 3.03e9); past that, Graph checks them unmerged.
+    if span * span > 2**63:
+        order = np.lexsort(ends.T[::-1])
+        return ends[order], weights[order]
+    key = (ends[:, 0] - low) * span + ends[:, 1] - low
+    # A stable order keeps each pair's entries in input order, and bincount adds them
+    # in the order it reads them.
+    order = np.argsort(key, kind="stable")
+    key.sort()
+    first = np.empty(key.size, dtype=bool)  # an empty list has no first entry
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    group = np.cumsum(first, out=key)  # the sorted keys' buffer, no longer read
+    group -= 1
+    return ends[order[first]], np.bincount(group, weights=weights[order])
+
+
 def load_edge_list(lines: Iterable[str] | str) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
@@ -200,6 +229,8 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
     line. Node identifiers are arbitrary tokens and are assigned indices
     in order of first appearance. Repeated pairs (either orientation)
     have their weights summed; an overflowing total is a ValueError.
+    A string is split into lines as a file opened in text mode is: at
+    ``\\n``, ``\\r`` and ``\\r\\n`` only.
 
     Raises
     ------
@@ -207,9 +238,9 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
         On a line with the wrong token count, an unparsable or
         non-positive weight, or a self-loop.
     """
-    lines = lines.splitlines() if isinstance(lines, str) else lines
+    lines = io.StringIO(lines, newline=None) if isinstance(lines, str) else lines
     ids: dict[str, int] = {}  # index of each token, in first-appearance order
-    edges: list[tuple[int, int, float]] = []
+    ends, weights = array("q"), array("d")  # flat endpoint indices and one weight per line
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
@@ -228,10 +259,16 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
                 weight = float(tokens[2])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad weight {tokens[2]!r}") from None
-            if not np.isfinite(weight) or weight <= 0:
+            if not math.isfinite(weight) or weight <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive, got {tokens[2]}")
-        edges.append((ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)), weight))
-    return Graph.from_edges(edges, n=len(ids), ids=ids)
+        ends.append(ids.setdefault(src, len(ids)))
+        ends.append(ids.setdefault(dst, len(ids)))
+        weights.append(weight)
+    # Rebinding drops the line buffers before Graph copies the merged pairs.
+    ends, weights = merge_edges(
+        np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(weights), len(ids)
+    )
+    return Graph(len(ids), ends, weights, tuple(ids))
 
 
 def laplacian(g: Graph) -> np.ndarray:

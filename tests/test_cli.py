@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +305,48 @@ def test_stdout_matches_file_output(tmp_path, capsys, command):
     capsys.readouterr()
     assert main(argv + ["--output", "-"]) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _joined_tsv(rows):
+    """The writer's bytes as one joined text, the way the whole table was
+    once formatted before a single write."""
+    return "".join(
+        "\t".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    ).encode()
+
+
+def test_streamed_tsv_bytes_match_the_joined_text(tmp_path, capsys):
+    rows = [
+        ("node", "dim_1", "dim_2"),
+        ("a", -0.0, 5e-324),
+        ("b", 1e308, np.float64(0.1)),
+        ("c", 7, np.int64(-3)),
+        ("# selected_k", np.int64(2), 1 / 3),
+    ]
+    out = tmp_path / "out.tsv"
+    cli._write_tsv(str(out), iter(rows))
+    capsys.readouterr()
+    cli._write_tsv("-", iter(rows))
+    assert out.read_bytes() == _joined_tsv(rows)
+    assert capsys.readouterr().out.encode() == _joined_tsv(rows)
+
+
+def test_tsv_writer_holds_one_row_at_a_time(tmp_path):
+    """A 20000 x 16 embedding (6.6 MB of text) is written with at most
+    1 MB of heap: rows are formatted and written one by one."""
+    h = np.random.default_rng(2).standard_normal((20_000, 16))
+    ids = tuple(f"node{i}" for i in range(h.shape[0]))
+    out = tmp_path / "emb.tsv"
+    tracemalloc.start()
+    try:
+        cli._write_tsv(str(out), cli._embedding_rows(ids, h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 6 * 10**6
+    assert out.read_bytes() == _joined_tsv(cli._embedding_rows(ids, h))
+    assert peak <= 2**20
 
 
 def test_classify_rejects_full_training_fraction(tmp_path):

@@ -1,5 +1,6 @@
 """Splits, F1 bookkeeping, planted benchmarks, label files."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -237,6 +238,33 @@ def test_planted_repair_draws_are_pinned(seed, edge_count, checksum):
     g, _ = planted_partition(4, 12, 0.12, 0.004, seed=seed, ensure_connected=True)
     upper = np.triu(g.adjacency).astype("<f8")
     assert (g.edge_count, zlib.crc32(upper.tobytes())) == (edge_count, checksum)
+
+
+def test_planted_row_blocks_draw_the_one_matrix_stream():
+    """Uniforms drawn a row block at a time are those of one (n, n) draw,
+    so the edges match the whole-matrix construction over several blocks."""
+    blocks, size, p_in, p_out, seed = 3, 200, 0.1, 0.01, 4
+    labels = np.repeat(np.arange(blocks), size)
+    draw = np.random.default_rng(seed).random((labels.size, labels.size))
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    expected = np.argwhere(np.triu(draw < prob, k=1))
+    g, _ = planted_partition(blocks, size, p_in, p_out, seed=seed)
+    assert g.edges.tobytes() == expected.tobytes()
+    assert (g.weights == 1.0).all()
+
+
+def test_planted_peak_memory_is_below_one_dense_matrix():
+    """No n x n array is held: at n = 2000 the draw peaks at a tenth of
+    one dense float64 matrix (the whole-matrix draw held about 2.5)."""
+    n = 2000
+    tracemalloc.start()
+    try:
+        g, _ = planted_partition(4, n // 4, 0.02, 0.001, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n
+    assert peak <= 0.1 * n * n * 8
 
 
 def test_planted_rejects_bad_parameters():

@@ -67,6 +67,37 @@ def test_parse_error_quotes_a_file_line_as_the_string_line(tmp_path, text):
         assert str(info.value) == expected
 
 
+def _graph_or_error(source):
+    try:
+        g = load_edge_list(source)
+    except FormatError as exc:
+        return str(exc)
+    return g.edges.tobytes(), g.weights.tobytes(), g.ids
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a b\x0cc d\ne f\n",
+        "a b\x1cc d\x1dx y\x1ee f\n",
+        "a b\x85c d\u2028e f\n",
+        "a b\x0bc d\n",
+        "a b\rc d\r\ne f\n",
+        "a b 2\r\nb c\rc\n",
+    ],
+    ids=["form-feed", "separators", "nel-ls", "vertical-tab", "cr-crlf", "error-line"],
+)
+def test_string_parses_as_the_same_bytes_in_a_file(tmp_path, text):
+    """A string breaks lines where a file opened in text mode does, at
+    \\n, \\r and \\r\\n alone, so both give the same graph or the same
+    error with the same line number."""
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        from_file = _graph_or_error(fh)
+    assert _graph_or_error(text) == from_file
+
+
 def test_comments_and_blank_lines_ignored():
     g = load_edge_list("# header\n\na b 1.5\nb c\n")
     assert _triples(g) == ((0, 1, 1.5), (1, 2, 1.0))
@@ -88,6 +119,54 @@ def test_from_edges_canonical_order():
 def test_from_edges_merges_reversed_duplicates():
     g = Graph.from_edges([(0, 1, 1.5), (1, 0, 2.5)])
     assert _triples(g) == ((0, 1, 4.0),)
+
+
+def test_loaded_merge_is_bit_equal_to_from_edges_and_input_order_sums():
+    """Repeated pairs, in both orientations and with weights over sixteen
+    decades, sum in input order: load_edge_list, from_edges and a
+    left-to-right reference agree to the bit."""
+    rng = np.random.default_rng(11)
+    n, lines = 40, 4000
+    u = rng.integers(0, n, lines)
+    w = (u + rng.integers(1, n, lines)) % n
+    x = 10.0 ** rng.uniform(-8, 8, lines)
+    triples = list(zip(u.tolist(), w.tolist(), x.tolist()))
+    names = [f"n{i}" for i in rng.permutation(n)]
+    g = load_edge_list("".join(f"{names[a]} {names[b]} {c!r}\n" for a, b, c in triples))
+    index = {name: i for i, name in enumerate(g.ids)}
+    relabeled = [(index[names[a]], index[names[b]], c) for a, b, c in triples]
+    h = Graph.from_edges(relabeled, n=g.n, ids=g.ids)
+    sums: dict[tuple[int, int], float] = {}
+    for a, b, c in relabeled:
+        key = (min(a, b), max(a, b))
+        sums[key] = sums.get(key, 0.0) + c
+    assert g.edge_count < lines  # the draw repeats pairs
+    assert g.ids == h.ids
+    assert g.edges.tobytes() == h.edges.tobytes() == np.array(sorted(sums)).tobytes()
+    expected = np.array([sums[key] for key in sorted(sums)])
+    assert g.weights.tobytes() == h.weights.tobytes() == expected.tobytes()
+
+
+def test_load_edge_list_peak_memory_per_edge(tmp_path):
+    """The parser keeps flat index and weight buffers, not an object per
+    line: loading 100k lines peaks at most 140 heap bytes per edge."""
+    n, lines = 10_000, 100_000
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, n, lines - n)
+    chords = zip(u.tolist(), ((u + rng.integers(1, n, u.size)) % n).tolist())
+    path = tmp_path / "big.txt"
+    with open(path, "w") as fh:
+        fh.writelines(f"v{i} v{(i + 1) % n}\n" for i in range(n))
+        fh.writelines(f"v{a} v{b} 2.5\n" for a, b in chords)
+    tracemalloc.start()
+    try:
+        with open(path) as fh:
+            g = load_edge_list(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.edge_count > 0.99 * lines
+    assert peak / g.edge_count <= 140
 
 
 def test_duplicate_edge_raises_before_default_ids_are_built():
