@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericalError
 from .graph import Graph, is_connected, laplacian
 from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks, _symmetrize, top_k_eigen
 
@@ -136,16 +136,47 @@ def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
 # ===================================================================
 
 
+_LEAF = 128  # rows of the blocks that LAPACK factors and inverts whole
+
+
+def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
+    """Overwrite symmetric positive definite a with Y = C^-1, where C is
+    its lower Cholesky factor (a = C C^T), and return it; a^-1 = Y^T Y.
+
+    By halves, in a's own buffer: with Y11 the first half's inverse
+    factor, the panel C21 = A21 Y11^T, the trailing half is downdated
+    to A22 - C21 C21^T, and Y21 = -Y22 C21 Y11 is the inverse's lower
+    left block. Each product is a quarter of a's size; a leaf of at most
+    _LEAF rows goes to LAPACK. A block that is not numerically positive
+    definite raises np.linalg.LinAlgError.
+    """
+    n = a.shape[0]
+    if n <= _LEAF:
+        a[...] = np.tril(np.linalg.inv(np.linalg.cholesky(a)))
+        return a
+    h = n // 2
+    y11, c21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
+    _inverse_cholesky(y11)
+    c21[...] = c21 @ y11.T
+    a22 -= c21 @ c21.T
+    _inverse_cholesky(a22)
+    np.negative(a22 @ c21 @ y11, out=c21)
+    a[:h, h:] = 0.0
+    return a
+
+
 def laplacian_pinv(g: Graph) -> CohesionMatrix:
     """Moore-Penrose pseudo-inverse of the graph Laplacian.
 
     Connected graphs only: L^+ = (L + sJ/n)^-1 - J/(sn) for any s > 0,
     with J the all-ones matrix (Klein and Randic 1993). s is the mean
     weighted degree, so the roundoff does not grow with the weights.
-    Subtracting J/(sn) is the double centering (I - J/n) X (I - J/n) of
-    X = (L + sJ/n)^-1, whose row means are exactly 1/(sn); centering the
-    symmetrized X by its computed row means instead leaves row sums at
-    summation roundoff, however ill-conditioned L is.
+    The inverse is Y^T Y, Y the inverse Cholesky factor of L + sJ/n,
+    formed in that matrix's own buffer. Subtracting J/(sn) is the double
+    centering (I - J/n) X (I - J/n) of X = (L + sJ/n)^-1, whose row means
+    are exactly 1/(sn); centering the symmetrized X by its computed row
+    means instead leaves row sums at summation roundoff, however
+    ill-conditioned L is.
     """
     if g.n == 0:
         raise ValueError("empty graph has no Laplacian pseudo-inverse")
@@ -154,8 +185,14 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     lap = laplacian(g)
     s = float(np.trace(lap)) / g.n or 1.0  # a lone node has L = [0]
     lap += s / g.n
-    x = _symmetrize(np.linalg.inv(lap))
-    del lap  # x, the only n x n array from here on, is centred in place
+    try:
+        y = _inverse_cholesky(lap)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "Laplacian pseudo-inverse failed: shifted Laplacian is not numerically positive definite"
+        ) from None
+    x = _symmetrize(y.T @ y)
+    del lap, y  # x, the only n x n array from here on, is centred in place
     r = x.mean(axis=1)
     # r_u + r_w adds in either order to the same bits, so x stays symmetric.
     for b in _row_blocks(*x.shape):

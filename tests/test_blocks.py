@@ -6,7 +6,11 @@ from 1..300; every other test uses n >= 240, several blocks with a
 ragged last one.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from modembed import (
     planted_partition,
     resistance_distance,
 )
+from modembed.semimetric import _inverse_cholesky
 from modembed.spectral import _check_symmetric, _row_blocks, _symmetrize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -88,9 +93,10 @@ def chain():
 
 
 def test_expdist_stages_hold_at_most_two_arrays(chain):
-    """laplacian_pinv keeps L and its inverse, the later stages only their
-    output; each adds at most a few 128 kB blocks (numpy's own ufunc
-    buffers included). np.linalg.inv's LAPACK buffers are not traced."""
+    """laplacian_pinv keeps L, overwritten by its inverse Cholesky factor,
+    and the inverse, the later stages only their output; each adds at
+    most a few 128 kB blocks (numpy's own ufunc buffers included). The
+    LAPACK leaves' own buffers are not traced; the RSS test below sees them."""
     g, gamma, r, s, _ = chain
     assert _peak(laplacian_pinv, g) <= 2.1
     assert _peak(resistance_distance, g) <= 2.1
@@ -110,7 +116,8 @@ def _reference_q(g):
     """The chain's out-of-place formulas, before it ran in place."""
     lap = laplacian(g)
     s = float(np.trace(lap)) / g.n or 1.0
-    x = np.linalg.inv(lap + s / g.n)
+    y = _inverse_cholesky(lap + s / g.n)
+    x = y.T @ y
     x = 0.5 * (x + x.T)
     r = x.mean(axis=1)
     x -= r[:, None] + r[None, :]
@@ -142,6 +149,56 @@ def test_in_place_chain_is_bit_equal_to_the_out_of_place_one(build):
     assert len(_row_blocks(g.n, g.n)) > 2
     q = modularity_matrix(exp_distance_sampling(resistance_distance(g))).q
     assert q.tobytes() == _reference_q(g).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: planted_partition(3, 100, 0.1, 0.01, seed=0, ensure_connected=True)[0],
+    lambda: planted_partition(4, 300, 0.1, 0.002, seed=0, ensure_connected=True)[0],
+], ids=["planted300", "planted1200"])
+def test_inverse_cholesky_agrees_with_lapack_inv(build):
+    """Y^T Y, with Y the in-place inverse Cholesky factor of the shifted
+    Laplacian, is LAPACK's inverse to within 1e-13 of its largest entry."""
+    g = build()
+    lap = laplacian(g)
+    lap += float(np.trace(lap)) / g.n / g.n
+    x = np.linalg.inv(lap)
+    y = _inverse_cholesky(lap)
+    assert np.abs(y.T @ y - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_tree_edge_resistance_is_the_inverse_weight():
+    """On a tree each edge is the only path between its ends, so its
+    resistance is 1/w exactly, with weights over four decades."""
+    g = _four_decade_tree()
+    u, w = g.edges.T
+    np.testing.assert_allclose(resistance_distance(g).d[u, w], 1.0 / g.weights, rtol=1e-9)
+
+
+# VmHWM, not ru_maxrss: a spawned process's ru_maxrss starts at the
+# resident size of the process that spawned it, here the test runner.
+_RSS_CHILD = """
+from modembed import laplacian_pinv, planted_partition
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+g, _ = planted_partition(8, 250, 0.05, 0.002, seed=0, ensure_connected=True)
+before = peak_kb()
+laplacian_pinv(g)
+print((peak_kb() - before) * 1024 / (g.n * g.n * 8))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_laplacian_pinv_grows_peak_rss_by_at_most_two_and_a_half_arrays():
+    """Peak RSS sees what tracemalloc does not, LAPACK's and BLAS's own
+    buffers: on 2000 nodes, in a fresh process, laplacian_pinv adds at
+    most 2.5 n x n arrays to it (L, then its inverse, and the quarter-size
+    products of the factorization)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _RSS_CHILD], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    assert float(done.stdout) <= 2.5
 
 
 def _reference_half_sq(pts):

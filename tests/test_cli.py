@@ -511,6 +511,17 @@ def test_numerical_errors_exit_three(tmp_path, path3_file):
     assert code == 3
 
 
+def test_failed_pseudo_inverse_exits_three(tmp_path, capsys):
+    """Weights alternating 1e150 and 1e-150 leave the shifted Laplacian
+    numerically singular: a numerical failure, not bad input."""
+    graph = tmp_path / "swamped.txt"
+    graph.write_text("".join(f"{u} {u + 1} {1e150 if u % 2 == 0 else 1e-150}\n"
+                             for u in range(400)))
+    argv = ["spectrum", str(graph), "--sampler", "expdist", "--output", str(tmp_path / "s.tsv")]
+    assert main(argv) == 3
+    assert "not numerically positive definite" in capsys.readouterr().err
+
+
 def test_spectrum_expdist_on_long_path(tmp_path):
     """The resistance distances of a 100-node path pass the cohesion
     check, so the expdist spectrum is written instead of exit 2."""

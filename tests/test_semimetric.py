@@ -14,6 +14,7 @@ from modembed import (
     FormatError,
     Graph,
     ModularityMatrix,
+    NumericalError,
     SampledGraph,
     SemiMetric,
     StochasticEmbedding,
@@ -141,6 +142,25 @@ def test_laplacian_pinv_identities():
 def test_laplacian_pinv_requires_connected():
     with pytest.raises(ValueError):
         laplacian_pinv(Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)]))
+
+
+@pytest.mark.parametrize("n", [2000, 3000])
+def test_resistance_on_a_unit_path_is_the_hop_count(n):
+    """Of the connected unit-weight graphs on n nodes, the path has the
+    smallest nonzero Laplacian eigenvalue; its resistances are |u - w|
+    to within 1e-9 (n - 1)."""
+    r = resistance_distance(Graph.from_edges([(u, u + 1, 1.0) for u in range(n - 1)])).d
+    hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    assert np.abs(r - hops).max() <= 1e-9 * (n - 1)
+
+
+@pytest.mark.parametrize("n, w", [(401, 1e150), (400, 1e8)])
+def test_laplacian_pinv_fails_numerically_when_weights_swamp_each_other(n, w):
+    """Weights alternating w and 1/w lose the small ones to roundoff in the
+    degrees, so the shifted Laplacian is numerically singular."""
+    g = Graph.from_edges([(u, u + 1, w if u % 2 == 0 else 1.0 / w) for u in range(n - 1)])
+    with pytest.raises(NumericalError, match="not numerically positive definite"):
+        laplacian_pinv(g)
 
 
 def test_resistance_goldens():
