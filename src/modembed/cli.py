@@ -188,7 +188,7 @@ def _spectrum(
 
 
 def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray:
-    """The top k eigenvectors of Q: ARPACK's Lanczos iteration when
+    """The top k eigenvectors of Q: the Lanczos iteration when
     ``krylov_pays(k, n)``, on the edge and walk operators without a dense
     Q, otherwise, or when that iteration fails, the dense decomposition."""
     if krylov_pays(k, q.n):

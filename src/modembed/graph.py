@@ -5,9 +5,9 @@ A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 one positive weight per pair. The dense adjacency matrix, the degree
 vector and the compressed sparse rows ``csr`` are derived from them on
 first use. The dense adjacency is what the samplers consume; ``csr``
-feeds the matrix-free covariance, and scipy wraps it (``sparse_adjacency``)
-only where a sparse product runs. :func:`laplacian` is built from the
-edges directly.
+feeds the matrix-free covariance and the softmax ascent, and scipy wraps
+it (``sparse_adjacency``) only for the dense walk covariance.
+:func:`laplacian` is built from the edges directly.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ import numpy as np
 from .errors import FormatError
 
 # The symmetric adjacency as compressed sparse rows: row u's neighbours are
-# indices[indptr[u]:indptr[u + 1]], ascending, with their weights in data.
-CSR = namedtuple("CSR", "indptr indices data")
+# indices[indptr[u]:indptr[u + 1]], ascending, with their weights in data;
+# rows holds the row of every entry, so row u is rows[indptr[u]:indptr[u + 1]].
+CSR = namedtuple("CSR", "indptr indices data rows")
 
 
 # Arrays have no truth value, so fields cannot be compared: equality is identity.
@@ -123,16 +124,18 @@ class Graph:
 
     @cached_property
     def csr(self) -> CSR:
-        """The adjacency as three read-only arrays, built without the dense
-        one and bit-equal to scipy's CSR of the symmetric pairs: int32
-        indices while n and 2m fit, int64 past that."""
+        """The adjacency as read-only arrays, built without the dense one;
+        indptr, indices and data are bit-equal to scipy's CSR of the
+        symmetric pairs: int32 indices while n and 2m fit, int64 past that.
+        rows, the row of every entry, has the dtype of the indices."""
         u, w = self.edges.T
         rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
         order = np.lexsort((cols, rows))
         index = np.int32 if max(self.n, rows.size) <= np.iinfo(np.int32).max else np.int64
         indptr = np.zeros(self.n + 1, dtype=index)
         np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        a = CSR(indptr, cols[order].astype(index), np.concatenate([self.weights] * 2)[order])
+        a = CSR(indptr, cols[order].astype(index), np.concatenate([self.weights] * 2)[order],
+                np.repeat(np.arange(self.n, dtype=index), np.diff(indptr)))
         for part in a:
             part.setflags(write=False)
         return a
@@ -141,12 +144,15 @@ class Graph:
     def sparse_adjacency(self):
         """``csr`` as a scipy CSR matrix that shares its buffers.
 
-        scipy is imported here, on first use, so commands that never
-        need a sparse product do not pay its import time.
+        Only the dense walk covariance reads it: its products with n
+        columns run several times faster than a numpy product. scipy is
+        imported here, on first use, so no other command pays its import
+        time.
         """
         from scipy.sparse import csr_matrix
 
-        return csr_matrix(self.csr[::-1], shape=(self.n, self.n), copy=False)
+        a = self.csr
+        return csr_matrix((a.data, a.indices, a.indptr), shape=(self.n, self.n), copy=False)
 
     @cached_property
     def degrees(self) -> np.ndarray:

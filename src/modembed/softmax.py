@@ -103,7 +103,7 @@ def _off_diagonal_max(f: _Form) -> float:
             top = max(top, float(block.max()))
         return top
     p = f.right[:, 0]
-    top = float(np.max(np.abs(a.data - np.repeat(p, np.diff(a.indptr)) * p[a.indices]), initial=0))
+    top = float(np.max(np.abs(a.data - p[a.rows] * p[a.indices]), initial=0))
     order = np.argsort(-p, kind="stable").tolist()
     for u in order:
         if p[u] * p[order[0]] <= top:
@@ -166,8 +166,7 @@ def _quadratic(b, h: np.ndarray) -> float:
     total = 0.0
     for s in range(0, b.data.size, 4096):
         e = slice(s, s + 4096)
-        rows = np.searchsorted(b.indptr, np.arange(s, s + b.data[e].size), side="right") - 1
-        total += b.data[e] @ np.einsum("ij,ij->i", h[rows], h[b.indices[e]])
+        total += b.data[e] @ np.einsum("ij,ij->i", h[b.rows[e]], h[b.indices[e]])
     return total
 
 

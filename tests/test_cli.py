@@ -786,21 +786,22 @@ for argv in [
     ["spectrum", karate],
     ["spectrum", karate, "--sampler", "expdist"],
     ["classify", karate, factions, "--dim", "2"],
+    ["embed", cycle, "--dim", "16"],
 ]:
     assert main(argv + ["--output", os.devnull]) == 0, argv
-try:  # the control: the Lanczos route does import scipy
-    main(["embed", cycle, "--dim", "16", "--output", os.devnull])
+try:  # the control: a walk sampler's dense Q does import scipy
+    main(["cluster", karate, "--sampler", "walk:2", "--dim", "2", "--output", os.devnull])
 except ImportError as exc:
     assert exc.name.split(".")[0] == "scipy", exc
 else:
-    raise AssertionError("embed --dim 16 on a 3000-node cycle ran without scipy")
+    raise AssertionError("cluster --sampler walk:2 on the karate club ran without scipy")
 """
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
-    """scipy is imported on the first sparse product or ARPACK solve, not
-    at start-up, and a small graph or edge-sampled cluster needs neither:
-    these commands on the karate club run with scipy made unimportable."""
+    """scipy is imported only for a walk sampler's dense Q, not at
+    start-up: these commands, on the karate club and on the Lanczos route
+    of a 3000-node cycle, run with scipy made unimportable."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     check = "import sys, modembed.cli; sys.exit('scipy' in sys.modules)"

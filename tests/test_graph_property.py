@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from modembed import FormatError, Graph, load_edge_list
+from modembed import CovarianceOperator, FormatError, Graph, load_edge_list
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -137,3 +137,28 @@ def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert not got.flags.writeable
         assert np.shares_memory(getattr(wrapped, name), got)
+
+
+@hypothesis.given(
+    st.integers(2, 12),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.floats(1e-3, 1e3))),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+def test_numpy_product_is_scipys_product(n, raw, k, rnd):
+    """The operator's numpy product A x has the bits of scipy's, for a
+    vector and for n x k columns, and csr.rows holds the row of every
+    entry at the dtype of the indices, read-only."""
+    merged = {(v - 1, v): 1.0 for v in range(1, n)}
+    for u, w, x in raw:
+        if u != w and max(u, w) < n:
+            merged[min(u, w), max(u, w)] = x
+    edges = np.array(list(merged), dtype=np.int64)
+    g = Graph(n, edges, np.array(list(merged.values())))
+    rows = g.csr.rows
+    assert rows.dtype == g.csr.indices.dtype and not rows.flags.writeable
+    assert rows.tobytes() == np.repeat(np.arange(n, dtype=rows.dtype), np.diff(g.csr.indptr)).tobytes()
+    x = np.array([rnd.uniform(-1e3, 1e3) for _ in range(n * k)]).reshape(n, k)
+    product = CovarianceOperator(g)._adjacency
+    assert product(x).tobytes() == (g.sparse_adjacency @ x).tobytes()
+    assert product(x[:, :1])[:, 0].tobytes() == (g.sparse_adjacency @ x[:, 0]).tobytes()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from modembed import (
     CovarianceOperator,
@@ -22,6 +23,8 @@ from modembed import (
     set_covariance,
     top_k_eigen,
 )
+from modembed.graph import CSR
+from modembed.modularity import _csr_product
 
 from helpers import (
     barbell,
@@ -213,6 +216,32 @@ def test_operator_eigenpairs_match_dense():
     np.testing.assert_allclose(pairs.values, dense.values, rtol=0, atol=1e-12)
     assert np.abs(np.abs(pairs.vectors.T @ dense.vectors) - np.eye(3)).max() <= 1e-6
     assert "adjacency" not in g.__dict__
+
+
+def test_numpy_product_is_scipys_on_a_row_without_entries():
+    """A row with no entries comes out as zeros, and the rest of the
+    product keeps scipy's bits: the karate club's CSR with one node
+    appended that has no edges."""
+    a = load_edge_list((Path(__file__).parent / "data" / "karate.txt").read_text()).csr
+    n = a.indptr.size
+    padded = CSR(np.append(a.indptr, a.indptr[-1]), a.indices, a.data, a.rows)
+    x = np.random.default_rng(4).standard_normal((n, 3))
+    want = csr_matrix((a.data, a.indices, padded.indptr), shape=(n, n)) @ x
+    got = _csr_product(padded, a.indices.astype(np.intp), x)
+    assert got.tobytes() == want.tobytes() and not got[-1].any()
+
+
+def test_walk_operator_products_are_scipys():
+    """Every walk step of the walk:3 operator's product has scipy's bits:
+    the same recurrence run through scipy's products gives the same bytes,
+    for one vector and for several."""
+    g, _ = planted_partition(4, 60, 0.2, 0.01, seed=3, ensure_connected=True)
+    op, a = CovarianceOperator(g, 3), g.sparse_adjacency
+    x = np.random.default_rng(5).standard_normal((g.n, 4))
+    for block in (x, x[:, :1]):
+        want = op._apply(a @ block, op.p_u @ block, lambda y: a @ y)
+        assert (op @ block).tobytes() == want.tobytes()
+    assert (op @ x[:, 0]).tobytes() == (op @ x[:, :1])[:, 0].tobytes()
 
 
 def test_operator_q_holds_one_dense_array_at_its_peak():
