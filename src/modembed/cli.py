@@ -38,7 +38,7 @@ from .sampling import (
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
-from .spectral import Embedding, eigenvalues, krylov_pays, reconstruct, select_dimension
+from .spectral import Embedding, eigenvalues, reconstruct, select_dimension
 from .spectral import top_k_eigen, top_spectrum
 
 
@@ -174,29 +174,14 @@ def _spectrum(
     """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
     None), and k: a fixed ``--dim``, checked where the graph was read,
     or the one auto picks. Auto without a sidecar, on the edge and walk
-    operators, first tries ``top_spectrum``, the top values padded with
-    Q's exact zero eigenvalue less a roundoff allowance; whatever it
-    cannot settle, and every sidecar, reads the dense ``eigenvalues``."""
+    operators, reads ``top_spectrum``, which settles k from the top of
+    the spectrum where it can; every sidecar reads the dense
+    ``eigenvalues``."""
     if args.dim is not None and not args.emit_spectrum:
         return None, args.dim
-    values = None
-    if not args.emit_spectrum and isinstance(q, CovarianceOperator):
-        values = top_spectrum(q)
-    if values is None:
-        values = eigenvalues(q)
+    auto = not args.emit_spectrum and isinstance(q, CovarianceOperator)
+    values = top_spectrum(q) if auto else eigenvalues(q)
     return values, args.dim or select_dimension(values)
-
-
-def _coordinates(q: ModularityMatrix | CovarianceOperator, k: int) -> np.ndarray:
-    """The top k eigenvectors of Q: the Lanczos iteration when
-    ``krylov_pays(k, n)``, on the edge and walk operators without a dense
-    Q, otherwise, or when that iteration fails, the dense decomposition."""
-    if krylov_pays(k, q.n):
-        try:
-            return top_k_eigen(q, k, method="lanczos").vectors
-        except NumericalError:  # as _spectrum does when top_spectrum gives up
-            pass
-    return top_k_eigen(q, k).vectors
 
 
 # ===================================================================
@@ -252,7 +237,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     q = _covariance(args, g)
     values, k = _spectrum(args, q)
-    _write_tsv(args.output, _embedding_rows(g.ids, _coordinates(q, k)))
+    _write_tsv(args.output, _embedding_rows(g.ids, top_k_eigen(q, k).vectors))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
     if args.id_map:
@@ -315,7 +300,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         stratified=not args.unstratified,
     )
     result = softmax_classify(
-        Embedding(h=_coordinates(q, k)),
+        Embedding(h=top_k_eigen(q, k).vectors),
         label_map,
         dataset.n_classes,
         seed=_stage_seed(args.seed, "softmax"),

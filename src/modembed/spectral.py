@@ -2,13 +2,13 @@
 
 The embedding of a graph is read off the top eigenvectors of its
 modularity matrix, its dimension off the spectrum (``eigenvalues``,
-no vectors). Eigenpairs take one of two routes: a dense LAPACK
-decomposition (the default of ``top_k_eigen``, exact, and faster for
-small matrices) or a thick-restart Lanczos iteration in numpy, which
-touches the matrix only through matrix-vector products, is faster for
-a few leading pairs of a large matrix (``krylov_pays`` says when) and
-also runs on the matrix-free covariance operator. Both meet the same
-residual contract, and neither imports scipy.
+no vectors). ``top_k_eigen`` picks one of two routes: a dense LAPACK
+decomposition, exact and faster for small matrices, or a thick-restart
+Lanczos iteration in numpy, which touches the matrix only through
+matrix-vector products, is faster for a few leading pairs of a large
+covariance (``krylov_pays`` says when) and also runs on the matrix-free
+covariance operator. Both meet the same residual contract, and neither
+imports scipy.
 """
 
 from __future__ import annotations
@@ -155,15 +155,13 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h + c
 
 
-def _lanczos(
-    m: "np.ndarray | Covariance", n: int, k: int, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Thick-restart Lanczos iteration (Wu & Simon 2000) for the
     algebraically largest k of n pairs, 1 <= k < n.
 
-    Values come back descending, with their vectors unless ``vectors`` is
-    false. m is touched only through products with one vector. The basis
-    holds ncv = min(n, max(2k + 1, 20)) rows (eigsh's default), so every
+    Values come back descending, with their vectors as columns. m is
+    touched only through products with one vector. The basis holds
+    ncv = min(n, max(2k + 1, 20)) rows (eigsh's default), so every
     projection is a contiguous product, and each new row is orthogonalized
     twice. A restart keeps the top k + (ncv - k) // 2 Ritz vectors, which
     makes the iteration ARPACK's implicitly restarted Lanczos with exact
@@ -213,51 +211,59 @@ def _lanczos(
         start = keep
     else:
         raise NumericalError(f"Lanczos iteration did not converge in {_MAX_RESTARTS} restarts")
-    if not vectors:
-        return theta[:k], None
     return theta[:k], (s[:, :k].T @ basis[:ncv]).T
 
 
 def krylov_pays(k: int, n: int) -> bool:
     """Whether the Lanczos route should beat the dense one for k of n pairs.
 
-    The command line asks this for a fixed ``--dim`` and for the k that
-    ``--dim auto`` picks. It also caps the number j of top eigenvalues
-    ``top_spectrum`` computes, one values-only solve per j, so that early
-    stop never runs below 1440 nodes (j = 8). The rule, 144 (k + 2) <= n,
-    was measured for an earlier block Krylov solver; ARPACK, whose product
-    counts the Lanczos iteration matches on the benchmark's solves, beat
-    that solver on every input measured, at k = 64 of 3200 nodes too, so
-    it errs towards the dense route.
+    ``top_k_eigen`` asks this of every covariance, for the k it is given,
+    and ``top_spectrum`` of every j it tries, one solve per j, so that
+    early stop never runs below 1440 nodes (j = 8). The rule,
+    144 (k + 2) <= n, was measured for an earlier block Krylov solver.
+    ARPACK, which this iteration replaced after matching its product
+    counts on the benchmark's solves, beat that block solver on every
+    input measured, at k = 64 of 3200 nodes too; so the rule errs towards
+    the dense route.
     """
     return 144 * (k + 2) <= n
 
 
-def top_k_eigen(m: "np.ndarray | Covariance", k: int, method: str = "dense") -> EigenPairs:
+def _within_contract(m: "np.ndarray | Covariance", values: np.ndarray, vectors: np.ndarray,
+                     bound: float) -> EigenPairs:
+    """The pairs, signs fixed, if every residual ||m v - lambda v|| is at
+    most ``bound``; otherwise NumericalError."""
+    vectors = _fix_signs(vectors)
+    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
+    if not residuals.max() <= bound:
+        raise NumericalError(
+            f"eigenpair residual {residuals.max():.3e} exceeds contract bound {bound:.3e}"
+        )
+    return EigenPairs(values=values, vectors=vectors)
+
+
+def top_k_eigen(m: "np.ndarray | Covariance", k: int) -> EigenPairs:
     """Compute the K algebraically largest eigenpairs of a symmetric matrix.
 
     Parameters
     ----------
     m : (n, n) array, ModularityMatrix or CovarianceOperator
         Symmetric input. An array is checked here (asymmetry beyond
-        1e-12 is rejected); the two covariance forms were checked, or
-        are symmetric by construction, and are used as they are. The
-        dense method decomposes a covariance's dense ``q``, which the
-        operator forms on first use.
+        1e-12 is rejected) and always decomposed densely, so it serves
+        as the dense oracle. The two covariance forms were checked, or
+        are symmetric by construction, and are used as they are: they
+        take the Lanczos iteration when ``krylov_pays(k, n)``, and the
+        dense decomposition of their ``q``, which the operator forms on
+        first use, otherwise or when the iteration fails to converge or
+        misses the residual contract.
     k : int
         Number of pairs, 1 <= k <= n.
-    method : str
-        "dense" for a full LAPACK decomposition, "lanczos" for the
-        thick-restart Lanczos iteration, run to machine precision within
-        a fixed restart budget. The Lanczos route solves densely where
-        the iteration has nothing to do: for k == n, or for a matrix whose
-        inf-norm (``norm_bound`` for a covariance) is zero.
 
     Raises
     ------
     NumericalError
-        If the iterative route fails to converge, or a returned pair
-        violates the residual contract.
+        If the dense pairs violate the residual contract
+        ||m v - lambda v|| <= 1e-8 max(1, ||m||_inf).
     """
     checked = hasattr(m, "norm_bound")  # a ModularityMatrix or CovarianceOperator
     if not checked:
@@ -265,24 +271,17 @@ def top_k_eigen(m: "np.ndarray | Covariance", k: int, method: str = "dense") -> 
     n = m.n if checked else m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    if method not in ("dense", "lanczos"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
     norm = m.norm_bound if checked else _norm_inf(m)
-    if method == "lanczos" and k < n and norm > 0:
-        values, vectors = _lanczos(m, n, k)
-    else:
-        m = getattr(m, "q", m)
-        values, vectors = np.linalg.eigh(m)
-        order = np.arange(n - 1, n - 1 - k, -1)
-        values, vectors = values[order], vectors[:, order]
-    vectors = _fix_signs(vectors)
     bound = _RESIDUAL_BOUND * max(1.0, norm)
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    if not residuals.max() <= bound:
-        raise NumericalError(
-            f"eigenpair residual {residuals.max():.3e} exceeds contract bound {bound:.3e}"
-        )
-    return EigenPairs(values=values, vectors=vectors)
+    if checked and krylov_pays(k, n):
+        try:
+            return _within_contract(m, *_lanczos(m, n, k), bound)
+        except NumericalError:  # the iteration gave up or missed the contract
+            pass
+    m = getattr(m, "q", m)
+    values, vectors = np.linalg.eigh(m)
+    order = np.arange(n - 1, n - 1 - k, -1)
+    return _within_contract(m, values[order], vectors[:, order], bound)
 
 
 def eigenvalues(m: "np.ndarray | Covariance") -> np.ndarray:
@@ -323,9 +322,9 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def top_spectrum(q: "Covariance") -> np.ndarray | None:
+def top_spectrum(q: "Covariance") -> np.ndarray:
     """The top of Q's spectrum, completed to n values, when that settles
-    ``select_dimension(values)``; otherwise None.
+    ``select_dimension(values)``; otherwise ``eigenvalues(q)``.
 
     The Lanczos iteration computes the top j = 8, 16, ... eigenvalues while
     ``krylov_pays(j, n)``. Q 1 = 0, so 0 is an exact eigenvalue of Q; let
@@ -344,21 +343,20 @@ def top_spectrum(q: "Covariance") -> np.ndarray | None:
     [-tau, floor], the premise the floor already rests on, and the
     converged Ritz values of the Lanczos iteration are the top j.
 
-    None below 1440 nodes (``krylov_pays(8, n)`` fails), when a solve
-    does not converge, or when no j settles: the caller then reads the
-    dense spectrum.
+    The dense spectrum below 1440 nodes (``krylov_pays(8, n)`` fails),
+    when a solve does not converge, or when no j settles.
     """
     n, j = q.n, 8
     tau = n * np.finfo(float).eps * q.norm_bound
     try:
         while krylov_pays(j, n):
-            top = _lanczos(q, n, j, vectors=False)[0]
+            top = _lanczos(q, n, j)[0]
             if top[-1] > tau and np.max(top[:-1] - top[1:]) > top[-1] + tau:
                 return np.concatenate([top, np.full(n - j, -tau)])
             j *= 2
     except NumericalError:  # a solve did not converge: the dense spectrum decides
         pass
-    return None
+    return eigenvalues(q)
 
 
 # ===================================================================

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from modembed import Graph
+from modembed import EigenPairs, Graph, spectral, top_k_eigen
 
 
 def random_connected_graph(rng, n, extra=0.15, weighted=False):
@@ -34,6 +34,23 @@ def largest_principal_angle(a, b):
     """Largest principal angle in radians between two column spans."""
     s = np.linalg.svd(a.T @ b, compute_uv=False)
     return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
+
+
+def lanczos_pairs(m, k):
+    """The top k pairs of a symmetric array by the Lanczos iteration,
+    which top_k_eigen never runs on an array, with top_k_eigen's signs.
+    k == n and the zero matrix leave the iteration nothing to do and are
+    solved densely. Asserts the residual contract ||m v - lambda v|| <=
+    1e-8 max(1, ||m||_inf) on every pair."""
+    n = m.shape[0]
+    if k < n and np.abs(m).max() > 0:
+        values, vectors = spectral._lanczos(m, n, k)
+        pairs = EigenPairs(values, spectral._fix_signs(vectors))
+    else:
+        pairs = top_k_eigen(m, k)
+    residuals = np.linalg.norm(m @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+    assert residuals.max() <= 1e-8 * max(1.0, np.abs(m).sum(axis=1).max())
+    return pairs
 
 
 def set_partitions(n):

@@ -40,6 +40,7 @@ from modembed.cli import main
 from helpers import (
     barbell,
     cycle4,
+    lanczos_pairs,
     largest_principal_angle,
     path3,
     random_connected_graph,
@@ -358,7 +359,7 @@ def test_15_eigensolver_contract():
     for q in matrices:
         n = q.shape[0]
         k = min(n, 6)
-        pairs = top_k_eigen(q, k, method="lanczos")
+        pairs = lanczos_pairs(q, k)
         scale = max(1.0, float(np.abs(q).sum(axis=1).max()))
         for lam, vec in zip(pairs.values, pairs.vectors.T):
             assert np.linalg.norm(q @ vec - lam * vec) <= 1e-8 * scale

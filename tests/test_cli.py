@@ -591,14 +591,23 @@ def test_fresh_process_reruns_are_byte_identical(tmp_path):
 
 
 def _record_eigen_calls(monkeypatch):
-    """Replace cli.top_k_eigen with a pass-through that logs (k, method)."""
-    calls = []
-    solve = cli.top_k_eigen
+    """Replace cli.top_k_eigen with a pass-through that logs (type of m,
+    k, route): "lanczos" when the call ran spectral._lanczos, whether or
+    not that converged, "dense" when it did not."""
+    calls, iterated = [], []
+    solve, iterate = cli.top_k_eigen, spectral._lanczos
 
-    def record(m, k, method="dense", **kwargs):
-        calls.append((k, method))
-        return solve(m, k, method=method, **kwargs)
+    def lanczos(m, n, k):
+        iterated.append(k)
+        return iterate(m, n, k)
 
+    def record(m, k):
+        iterated.clear()
+        pairs = solve(m, k)
+        calls.append((type(m).__name__, k, "lanczos" if iterated else "dense"))
+        return pairs
+
+    monkeypatch.setattr(spectral, "_lanczos", lanczos)
     monkeypatch.setattr(cli, "top_k_eigen", record)
     return calls
 
@@ -659,7 +668,7 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
         argv.append(str(tmp_path / "spec.tsv"))
     calls = _record_eigen_calls(monkeypatch)
     assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
-    assert calls == expected
+    assert [call[1:] for call in calls] == expected
 
 
 @pytest.mark.parametrize(
@@ -681,14 +690,7 @@ def test_fixed_k_krylov_route_solves_on_the_operator(tmp_path, monkeypatch, flag
     without a sidecar spectrum; expdist keeps its dense Q. The columns
     meet the residual contract against the dense Q."""
     g, graph_path, _ = _write_large_planted(tmp_path, 3, 200)
-    loaded, calls = _record_loads(monkeypatch), []
-    solve = cli.top_k_eigen
-
-    def record_solve(m, k, method="dense", **kwargs):
-        calls.append((type(m).__name__, k, method))
-        return solve(m, k, method=method, **kwargs)
-
-    monkeypatch.setattr(cli, "top_k_eigen", record_solve)
+    loaded, calls = _record_loads(monkeypatch), _record_eigen_calls(monkeypatch)
     out = tmp_path / "emb.tsv"
     argv = ["embed", graph_path, "--dim", "2", "--output", str(out), *flags]
     if flags[-1:] == ["--emit-spectrum"]:
@@ -838,7 +840,7 @@ def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
     out, with_sidecar = tmp_path / "emb.tsv", tmp_path / "emb_sidecar.tsv"
     calls = _record_eigen_calls(monkeypatch)
     assert main(["embed", graph_path, "--dim", "4", "--output", str(out)]) == 0
-    assert calls == [(4, "lanczos")]
+    assert calls == [("CovarianceOperator", 4, "lanczos")]
     argv = ["embed", graph_path, "--dim", "4", "--output", str(with_sidecar)]
     assert main(argv + ["--emit-spectrum", str(tmp_path / "spec.tsv")]) == 0
     assert out.read_bytes() == with_sidecar.read_bytes()
@@ -856,18 +858,19 @@ def test_krylov_embedding_meets_the_residual_contract(tmp_path, monkeypatch):
 
 def test_embed_solves_densely_when_lanczos_fails(tmp_path, monkeypatch):
     """embed --dim 2 on a 600-node path takes the Lanczos route; with a
-    one-restart budget ARPACK gives up, and embed writes the dense
-    route's bytes instead of exiting 3."""
+    one-restart budget the iteration gives up, top_k_eigen solves
+    densely, and embed writes the dense route's bytes instead of
+    exiting 3."""
     graph = tmp_path / "path.txt"
     graph.write_text("".join(f"{i} {i + 1}\n" for i in range(599)))
     dense, fallback = tmp_path / "dense.tsv", tmp_path / "fallback.tsv"
     with monkeypatch.context() as m:
-        m.setattr(cli, "krylov_pays", lambda k, n: False)
+        m.setattr(spectral, "krylov_pays", lambda k, n: False)
         assert main(["embed", str(graph), "--dim", "2", "--output", str(dense)]) == 0
     monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
     calls = _record_eigen_calls(monkeypatch)
     assert main(["embed", str(graph), "--dim", "2", "--output", str(fallback)]) == 0
-    assert calls == [(2, "lanczos"), (2, "dense")]
+    assert calls == [("CovarianceOperator", 2, "lanczos")]
     assert fallback.read_bytes() == dense.read_bytes()
 
 
@@ -902,7 +905,7 @@ def test_auto_dimension_takes_the_krylov_route(tmp_path, monkeypatch, sampler):
     sampled = edge_sampling(g) if sampler == "edge" else random_walk_sampling(g, 3)
     q = modularity_matrix(sampled).q
     k = select_dimension(np.linalg.eigvalsh(q)[::-1])
-    assert krylov_pays(k, g.n) and calls == [(k, "lanczos")]
+    assert krylov_pays(k, g.n) and calls == [("CovarianceOperator", k, "lanczos")]
     assert spec.read_text().splitlines()[-1] == f"# selected_k\t{k}"
     _, body = read_table(out)
     h = np.zeros((g.n, k))
@@ -990,7 +993,7 @@ def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):
     fast, dense = tmp_path / "fast.tsv", tmp_path / "dense.tsv"
     assert main(argv + ["--output", str(fast)]) == 0
     assert "q" not in vars(operators[0])
-    monkeypatch.setattr(cli, "top_spectrum", lambda q: None)
+    monkeypatch.setattr(cli, "top_spectrum", cli.eigenvalues)
     assert main(argv + ["--output", str(dense)]) == 0
     assert "q" in vars(operators[1])
     assert fast.read_bytes() == dense.read_bytes()

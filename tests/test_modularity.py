@@ -21,6 +21,7 @@ from modembed import (
     planted_partition,
     random_walk_sampling,
     set_covariance,
+    spectral,
     top_k_eigen,
 )
 from modembed.graph import CSR
@@ -206,13 +207,16 @@ def test_operator_matches_dense_product(fixture, sampler):
         np.testing.assert_array_equal(op.q, op @ np.eye(g.n))
 
 
-def test_operator_eigenpairs_match_dense():
-    """The Krylov route on the operator finds the dense top pairs and
-    builds no dense adjacency."""
+def test_operator_eigenpairs_match_dense(monkeypatch):
+    """The Krylov route on the operator (made to pay here) finds the
+    dense top pairs and builds no dense adjacency, nor a dense Q."""
     g, _ = planted_partition(4, 30, 0.3, 0.01, seed=1, ensure_connected=True)
     twin = Graph(g.n, g.edges, g.weights)
     dense = top_k_eigen(modularity_matrix(edge_sampling(twin)), 3)
-    pairs = top_k_eigen(CovarianceOperator(g), 3, method="lanczos")
+    monkeypatch.setattr(spectral, "krylov_pays", lambda k, n: True)
+    op = CovarianceOperator(g)
+    pairs = top_k_eigen(op, 3)
+    assert "q" not in vars(op)
     np.testing.assert_allclose(pairs.values, dense.values, rtol=0, atol=1e-12)
     assert np.abs(np.abs(pairs.vectors.T @ dense.vectors) - np.eye(3)).max() <= 1e-6
     assert "adjacency" not in g.__dict__
@@ -273,5 +277,5 @@ def test_operator_validation():
         CovarianceOperator(lone)
     g = barbell()
     dense = top_k_eigen(modularity_matrix(edge_sampling(g)), 3)
-    on_operator = top_k_eigen(CovarianceOperator(g), 3, method="dense")
+    on_operator = top_k_eigen(CovarianceOperator(g), 3)
     np.testing.assert_allclose(on_operator.values, dense.values, rtol=0, atol=1e-12)

@@ -13,6 +13,7 @@ from modembed import (
     Graph,
     NumericalError,
     edge_sampling,
+    eigenmap_embedding,
     eigenvalues,
     exp_distance_sampling,
     frobenius_objective,
@@ -32,6 +33,7 @@ from modembed.cli import main
 from helpers import (
     barbell,
     cycle4,
+    lanczos_pairs,
     largest_principal_angle,
     path3,
     random_connected_graph,
@@ -89,8 +91,8 @@ def test_power_route_matches_dense_on_random_matrix():
     rng = np.random.default_rng(77)
     m = rng.standard_normal((30, 30))
     m = 0.5 * (m + m.T)
-    dense = top_k_eigen(m, 5, method="dense")
-    power = top_k_eigen(m, 5, method="lanczos")
+    dense = top_k_eigen(m, 5)
+    power = lanczos_pairs(m, 5)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-9)
     for j in range(5):
         angle = largest_principal_angle(
@@ -103,8 +105,8 @@ def test_power_route_handles_degenerate_pair():
     """K3 has an exactly repeated eigenvalue; eigenvalues must match and the
     two-dimensional eigenspace must agree as a subspace."""
     q = _q(triangle()).q
-    dense = top_k_eigen(q, 3, method="dense")
-    power = top_k_eigen(q, 3, method="lanczos")
+    dense = top_k_eigen(q, 3)
+    power = lanczos_pairs(q, 3)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-9)
     angle = largest_principal_angle(power.vectors[:, 1:3], dense.vectors[:, 1:3])
     assert angle <= 1e-6
@@ -115,29 +117,33 @@ def test_power_route_reports_non_convergence(monkeypatch):
     m = rng.standard_normal((50, 50))
     m = 0.5 * (m + m.T)
     monkeypatch.setattr(spectral, "_MAX_RESTARTS", 3)
-    with pytest.raises(NumericalError):
-        top_k_eigen(m, 2, method="lanczos")
+    with pytest.raises(NumericalError, match="did not converge"):
+        spectral._lanczos(m, 50, 2)
 
 
 def test_power_route_converges_on_a_long_cycle():
     """The leading spectrum of a 3000-node cycle crowds together: its
     edge covariance has the pairs cos(2 pi j / n) / n, j = 1, 1, 2, 2, ...,
-    each double and the next one only O(1 / n^3) below."""
+    each double and the next one only O(1 / n^3) below. krylov_pays(16, n)
+    holds, and the iteration converges: no dense Q is formed."""
     n = 3000
     g = Graph.from_edges([(i, (i + 1) % n, 1.0) for i in range(n)])
-    pairs = top_k_eigen(CovarianceOperator(g), 16, method="lanczos")
+    op = CovarianceOperator(g)
+    pairs = top_k_eigen(op, 16)
+    assert "q" not in vars(op)
     j = np.repeat(np.arange(1, 9), 2)
     np.testing.assert_allclose(pairs.values, np.cos(2 * np.pi * j / n) / n, rtol=0, atol=1e-12)
 
 
 def test_power_route_restarts_are_seeded():
     """The top of a star's covariance is a 598-fold zero eigenvalue, so
-    ARPACK draws fresh start vectors; they come from the fixed seed, and
-    two calls give the same bytes."""
+    the Lanczos iteration draws fresh start vectors; they come from the
+    fixed seed, and two calls give the same bytes, with no dense Q."""
     g = Graph.from_edges([(0, i, 1.0) for i in range(1, 600)])
     op = CovarianceOperator(g)
-    first = top_k_eigen(op, 2, method="lanczos")
-    second = top_k_eigen(op, 2, method="lanczos")
+    first = top_k_eigen(op, 2)
+    second = top_k_eigen(op, 2)
+    assert "q" not in vars(op)
     assert first.vectors.tobytes() == second.vectors.tobytes()
     np.testing.assert_allclose(first.values, top_k_eigen(op, 2).values, rtol=0, atol=1e-12)
 
@@ -177,15 +183,82 @@ def test_lanczos_matches_the_dense_spectrum(blocks, size, length, k):
     assert np.linalg.svd(vectors.T @ top, compute_uv=False).min() >= 1 - 1e-10
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        top_k_eigen(np.eye(2), 1, method="power")
+def _record_lanczos(monkeypatch):
+    """Replace spectral._lanczos with a pass-through that logs each k."""
+    calls, solve = [], spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda m, n, k: calls.append(k) or solve(m, n, k))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def planted_600():
+    """Three blocks of 200, where krylov_pays(2, n) holds."""
+    g, _ = planted_partition(3, 200, 0.2, 0.005, seed=0, ensure_connected=True)
+    assert spectral.krylov_pays(2, g.n)
+    return _q(g)
+
+
+def test_covariance_above_the_threshold_takes_the_lanczos_route(planted_600, monkeypatch):
+    """top_k_eigen and spectral_embedding on a ModularityMatrix where
+    krylov_pays(k, n) holds run the Lanczos iteration; the pairs meet the
+    residual contract and match the dense oracle's values."""
+    q = planted_600
+    calls = _record_lanczos(monkeypatch)
+    pairs = top_k_eigen(q, 2)
+    emb = spectral_embedding(q, 2)
+    assert calls == [2, 2]
+    assert emb.h.tobytes() == pairs.vectors.tobytes()
+    bound = 1e-8 * max(1.0, q.norm_bound)
+    residuals = np.linalg.norm(q.q @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
+    assert residuals.max() <= bound
+    np.testing.assert_allclose(pairs.values, top_k_eigen(q.q, 2).values, rtol=0, atol=bound)
+
+
+def test_arrays_and_eigenmaps_stay_dense(planted_600, monkeypatch):
+    """A bare array is the dense oracle whatever its size, and so is the
+    Laplacian eigenmap's -L, here of a 720-node path, where
+    krylov_pays(3, n) holds: neither runs the Lanczos iteration."""
+    calls = _record_lanczos(monkeypatch)
+    top_k_eigen(planted_600.q, 2)
+    n = 720
+    assert spectral.krylov_pays(3, n)
+    eigenmap_embedding(Graph.from_edges([(i, i + 1, 1.0) for i in range(n - 1)]), 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("failure", ["budget", "residual"])
+def test_failed_lanczos_gives_the_dense_bytes(failure, monkeypatch):
+    """The edge covariance of a 600-node path, where krylov_pays(2, n)
+    holds: when the iteration gives up after one restart, or returns
+    pairs that miss the residual contract, top_k_eigen returns exactly
+    the dense route's bytes."""
+    g = Graph.from_edges([(i, i + 1, 1.0) for i in range(599)])
+    dense = top_k_eigen(CovarianceOperator(g).q, 2)
+    outcomes, solve = [], spectral._lanczos
+
+    def record(m, n, k):
+        try:
+            values, vectors = solve(m, n, k)
+        except NumericalError:
+            outcomes.append("gave up")
+            raise
+        outcomes.append("returned")
+        return values + (1e-6 if failure == "residual" else 0.0), vectors
+
+    monkeypatch.setattr(spectral, "_lanczos", record)
+    if failure == "budget":
+        monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+    pairs = top_k_eigen(CovarianceOperator(g), 2)
+    assert outcomes == ["gave up" if failure == "budget" else "returned"]
+    assert pairs.values.tobytes() == dense.values.tobytes()
+    assert pairs.vectors.tobytes() == dense.vectors.tobytes()
 
 
 def test_checked_covariances_skip_the_symmetry_check(monkeypatch):
     """A ModularityMatrix was checked when it was built and the operator
     is symmetric by construction, so only raw arrays are checked again;
-    the dense result is the same bytes either way."""
+    the dense result is the same bytes either way, and the Lanczos route
+    (made to pay here) checks neither covariance."""
     g = random_connected_graph(np.random.default_rng(23), 30)
     q = _q(g)
     raw = top_k_eigen(q.q, 3)
@@ -196,8 +269,11 @@ def test_checked_covariances_skip_the_symmetry_check(monkeypatch):
     monkeypatch.setattr(spectral, "_check_symmetric", refuse)
     checked = top_k_eigen(q, 3)
     assert checked.vectors.tobytes() == raw.vectors.tobytes()
-    top_k_eigen(q, 3, method="lanczos")
-    top_k_eigen(CovarianceOperator(g), 3, method="lanczos")
+    calls = _record_lanczos(monkeypatch)
+    monkeypatch.setattr(spectral, "krylov_pays", lambda k, n: True)
+    top_k_eigen(q, 3)
+    top_k_eigen(CovarianceOperator(g), 3)
+    assert calls == [3, 3]
     with pytest.raises(AssertionError, match="checked again"):
         top_k_eigen(q.q, 3)
 
@@ -209,8 +285,8 @@ def test_determinism_bit_identical():
     second = top_k_eigen(q, 4)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
-    p1 = top_k_eigen(q, 4, method="lanczos")
-    p2 = top_k_eigen(q, 4, method="lanczos")
+    p1 = lanczos_pairs(q, 4)
+    p2 = lanczos_pairs(q, 4)
     assert np.array_equal(p1.vectors, p2.vectors)
 
 
@@ -395,24 +471,22 @@ def _edge_case_matrix(kind, n):
 @pytest.mark.parametrize("kind", ["zero", "identity", "rank1", "gaussian", "tiny"])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 13, 20, 40])
 def test_power_route_edge_cases(n, kind):
-    """Exact invariant subspaces (identity, rank one) make ARPACK draw
-    fresh start vectors; the zero matrix and k == n, which ARPACK
-    rejects, are solved densely."""
+    """Exact invariant subspaces (identity, rank one) make the Lanczos
+    iteration draw fresh start vectors; the zero matrix and k == n, which
+    leave it nothing to do, are solved densely. lanczos_pairs asserts
+    the residual contract."""
     m = _edge_case_matrix(kind, n)
-    scale = max(1.0, np.abs(m).sum(axis=1).max())
     dense = np.linalg.eigvalsh(m)[::-1]
     for k in sorted({1, min(n, 3), n}):
-        pairs = top_k_eigen(m, k, method="lanczos")
+        pairs = lanczos_pairs(m, k)
         np.testing.assert_allclose(pairs.values, dense[:k], rtol=0, atol=1e-8)
-        residuals = np.linalg.norm(m @ pairs.vectors - pairs.vectors * pairs.values, axis=0)
-        assert residuals.max() <= 1e-8 * scale
 
 
 def test_power_route_converges_on_planted_partition_within_500_products(monkeypatch):
     g, _ = planted_partition(8, 50, 0.3, 0.01, seed=0, ensure_connected=True)
     q = _q(g).q
     monkeypatch.setattr(spectral, "_MAX_RESTARTS", 500)
-    power = top_k_eigen(q, 8, method="lanczos")
+    power = lanczos_pairs(q, 8)
     dense = top_k_eigen(q, 8)
     np.testing.assert_allclose(power.values, dense.values, rtol=0, atol=1e-8)
 
@@ -504,36 +578,44 @@ def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
     q = CovarianceOperator(g) if length is None else CovarianceOperator(g, length, exact_length=exact)
     values = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
-    assert values is not None and values.shape == (g.n,)
+    assert values.shape == (g.n,)
     assert select_dimension(values) == select_dimension(eigenvalues(q))
 
 
+_DENSE = np.array([np.nan])  # what _stub_dense_spectrum's eigenvalues returns
+
+
+def _stub_dense_spectrum(monkeypatch):
+    """Replace spectral.eigenvalues with a stub that returns _DENSE, and
+    return the list of the arguments it was called with."""
+    reads = []
+    monkeypatch.setattr(spectral, "eigenvalues", lambda q: reads.append(q) or _DENSE)
+    return reads
+
+
 @pytest.mark.parametrize("case", ["cycle-edge", "cycle-walk:3", "small"])
-def test_top_spectrum_gives_up(case):
+def test_top_spectrum_gives_up(case, monkeypatch):
     """A cycle has no community gap: its best gap among the top 8 stays
     below lambda_8, and n = 1500 allows no j = 16. Below 1440 nodes no
-    j = 8 pays."""
+    j = 8 pays. Each reads the dense spectrum."""
     if case == "small":
         small, _ = planted_partition(8, 179, 0.1, 0.002, seed=0, ensure_connected=True)
         q = CovarianceOperator(small, 3)
     else:
         g = Graph.from_edges([(i, (i + 1) % 1500, 1.0) for i in range(1500)])
         q = CovarianceOperator(g) if case == "cycle-edge" else CovarianceOperator(g, 3)
-    assert spectral.top_spectrum(q) is None
+    reads = _stub_dense_spectrum(monkeypatch)
+    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
 
 
 def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
-    """One values-only ARPACK solve per j and no solve for the bottom of
-    the spectrum: walk:3 settles at j = 8 after a single call."""
-    calls, solve = [], spectral._lanczos
-
-    def record(m, n, k, *args, **kwargs):
-        calls.append(k)
-        return solve(m, n, k, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_lanczos", record)
-    assert spectral.top_spectrum(CovarianceOperator(planted_1440, 3)) is not None
-    assert calls == [8]
+    """One Lanczos solve per j and no solve for the bottom of the
+    spectrum: walk:3 settles at j = 8 after a single call, with no dense
+    Q."""
+    calls = _record_lanczos(monkeypatch)
+    q = CovarianceOperator(planted_1440, 3)
+    spectral.top_spectrum(q)
+    assert calls == [8] and "q" not in vars(q)
 
 
 class _PlantedSpectrum:
@@ -567,16 +649,18 @@ def _planted_top(lambda_8, lambda_min):
 
 
 @pytest.mark.parametrize("margin", [1e-6, -1e-6])
-def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin):
+def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin, monkeypatch):
     """The best top gap, 0.46, is at k = 3. With lambda_8 = 0.46 - tau -
     margin, tau = n eps ||Q||, the gap beats lambda_8 + tau for a positive
-    margin only; otherwise the answer is None."""
+    margin only; otherwise the dense spectrum is read."""
     tau = 1440 * np.finfo(float).eps * 1.0
     q, top = _planted_top(0.46 - tau - margin, -0.04)
+    reads = _stub_dense_spectrum(monkeypatch)
     values = spectral.top_spectrum(q)
     if margin < 0:
-        assert values is None
+        assert values is _DENSE and reads == [q]
         return
+    assert reads == []
     np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
     assert np.all(values[8:] == -tau)
     assert select_dimension(values) == 3
@@ -588,30 +672,34 @@ def test_top_spectrum_ignores_the_negative_spectrum():
     zero eigenvalue does, with the dense k."""
     q, top = _planted_top(0.42, -5.0)
     values = spectral.top_spectrum(q)
-    assert values is not None
     np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
     assert np.all(values[8:] == -q.n * np.finfo(float).eps * 5.0)
     assert select_dimension(values) == select_dimension(np.sort(q.values)[::-1]) == 3
 
 
-def test_top_spectrum_needs_lambda_j_above_the_allowance():
+def test_top_spectrum_needs_lambda_j_above_the_allowance(monkeypatch):
     """With five positive values the top 8 reach the zero eigenvalue and
     the negative bulk, so lambda_8 <= tau: padding with -tau would not
-    even be sorted, and n = 1440 allows no j = 16."""
+    even be sorted, and n = 1440 allows no j = 16. The dense spectrum
+    is read."""
     top = [1.0, 0.98, 0.96, 0.5, 0.49]
     q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(-0.001, -0.3, 1440 - 6)]))
-    assert spectral.top_spectrum(q) is None
+    reads = _stub_dense_spectrum(monkeypatch)
+    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
 
 
 def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
     """Dyadic values and tau = n eps ||Q|| on n = 2048, so every
     comparison is exact: gaps of 2 at k = 1 and k = 4 tie and k = 1 wins;
     a tau that makes lambda_8 + tau equal to the best gap settles
-    nothing, since a later gap could tie it."""
+    nothing, since a later gap could tie it, and reads the dense
+    spectrum."""
     top = np.array([6.0, 4.0, 3.75, 3.5, 1.5, 1.375, 1.25, 1.125])
     monkeypatch.setattr(spectral, "_lanczos", lambda *args, **kwargs: (top, None))
     unit = 2048 * np.finfo(float).eps  # tau per unit of norm_bound, 2**-41
     padded = spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.75 / unit))
     assert padded.shape == (2048,) and np.all(padded[8:] == -0.75)
     assert select_dimension(padded) == 1
-    assert spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.875 / unit)) is None
+    reads = _stub_dense_spectrum(monkeypatch)
+    q = SimpleNamespace(n=2048, norm_bound=0.875 / unit)
+    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
