@@ -271,6 +271,8 @@ def _cmd_pca(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    if args.dim == 1:
+        raise _UsageError("cluster needs --dim auto or at least 2 clusters")
     g = _load_graph(args)
     q = _covariance(args, g)
     result = softmax_cluster(

@@ -5,8 +5,7 @@ A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 one positive weight per pair. The dense adjacency matrix, the degree
 vector and the compressed sparse rows ``csr`` are derived from them on
 first use. The dense adjacency is what the samplers consume; ``csr``
-feeds the matrix-free covariance and the softmax ascent, and scipy wraps
-it (``sparse_adjacency``) only for the dense walk covariance.
+feeds the covariance operator and the softmax ascent.
 :func:`laplacian` is built from the edges directly.
 """
 
@@ -124,10 +123,10 @@ class Graph:
 
     @cached_property
     def csr(self) -> CSR:
-        """The adjacency as read-only arrays, built without the dense one;
-        indptr, indices and data are bit-equal to scipy's CSR of the
-        symmetric pairs: int32 indices while n and 2m fit, int64 past that.
-        rows, the row of every entry, has the dtype of the indices."""
+        """The adjacency as read-only arrays, built without the dense one:
+        the canonical CSR of the symmetric pairs, each row's columns in
+        ascending order, with int32 indices while n and 2m fit and int64
+        past that. rows, the row of every entry, has the dtype of the indices."""
         u, w = self.edges.T
         rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
         order = np.lexsort((cols, rows))
@@ -139,20 +138,6 @@ class Graph:
         for part in a:
             part.setflags(write=False)
         return a
-
-    @cached_property
-    def sparse_adjacency(self):
-        """``csr`` as a scipy CSR matrix that shares its buffers.
-
-        Only the dense walk covariance reads it: its products with n
-        columns run several times faster than a numpy product. scipy is
-        imported here, on first use, so no other command pays its import
-        time.
-        """
-        from scipy.sparse import csr_matrix
-
-        a = self.csr
-        return csr_matrix((a.data, a.indices, a.indptr), shape=(self.n, self.n), copy=False)
 
     @cached_property
     def degrees(self) -> np.ndarray:

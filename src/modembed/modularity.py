@@ -109,9 +109,10 @@ class CovarianceOperator:
         a = np.zeros((self.n, self.n))
         u, w = self.graph.edges.T
         a[u, w] = a[w, u] = self.graph.weights
-        # scipy's product has the numpy one's bits and runs several times faster on n columns.
-        q = self._apply(a, self.p_u, lambda x: self.graph.sparse_adjacency @ x)
-        return _symmetrize(q) if self.length > 1 else q  # A / 2m - p_u p_u^T is symmetric
+        if self.length == 1:  # A / 2m - p_u p_u^T is symmetric and takes no product
+            return self._apply(a, self.p_u)
+        sparse = _scipy_csr(self.graph.csr)
+        return _symmetrize(self._apply(a, self.p_u, lambda x: sparse @ x))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -139,6 +140,16 @@ class CovarianceOperator:
         for b in _row_blocks(self.n, pu_x.size):  # no n x n temporary
             total[b] -= np.outer(self.p_u[b], pu_x)
         return total
+
+
+def _scipy_csr(a: CSR):
+    """``a`` as a scipy CSR matrix that shares its buffers. Its products
+    have the bits of ``_csr_product`` and run several times faster on n
+    columns; scipy is imported here, so only a walk's dense q loads it."""
+    from scipy.sparse import csr_matrix
+
+    n = a.indptr.size - 1
+    return csr_matrix((a.data, a.indices, a.indptr), shape=(n, n), copy=False)
 
 
 def _csr_product(a: CSR, gather: np.ndarray, x: np.ndarray) -> np.ndarray:

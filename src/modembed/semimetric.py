@@ -12,6 +12,7 @@ whose top eigenvectors are the principal components.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +27,11 @@ _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
 # n * eps * max|gamma|, the roundoff of summing n entries of that size.
 _ROWSUM_ULPS = 16
+# L+ must map a centred probe v back to itself, |L L+ v - v| <= this times |v|.
+# Weights alternating w and 1/w along a 400-node path give 2e-6 at w = 1e3,
+# 2e-4 at 1e4 and 2e-2 at 1e5 (0.6% off in the end-to-end resistance);
+# unit paths of up to 3000 nodes give at most 4e-9.
+_PINV_TOL = 1e-3
 
 
 # ===================================================================
@@ -176,7 +182,9 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     centering (I - J/n) X (I - J/n) of X = (L + sJ/n)^-1, whose row means
     are exactly 1/(sn); centering the symmetrized X by its computed row
     means instead leaves row sums at summation roundoff, however
-    ill-conditioned L is.
+    ill-conditioned L is. NumericalError is raised when the shifted
+    Laplacian does not factor, or when L+ fails its identity L L+ v = v
+    on a fixed-seed centred probe v by more than 1e-3 |v|.
     """
     if g.n == 0:
         raise ValueError("empty graph has no Laplacian pseudo-inverse")
@@ -198,6 +206,21 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     for b in _row_blocks(*x.shape):
         x[b] -= r[b, None] + r[None, :]
     x += r.mean()
+    # An ill-conditioned L can leave x far from L+ with every block factored: probe
+    # L x v = v, with L y = D y - A y from the edge arrays.
+    rnd = random.Random(0x5EED)  # not numpy.random, whose import adds 6 MB to a process
+    v = np.array([rnd.gauss(0.0, 1.0) for _ in range(g.n)])
+    v -= v.mean()
+    y = x @ v
+    u, w = g.edges.T
+    res = g.degrees * y - np.bincount(u, g.weights * y[w], g.n)
+    res -= np.bincount(w, g.weights * y[u], g.n) + v
+    if not np.linalg.norm(res) <= _PINV_TOL * np.linalg.norm(v):
+        raise NumericalError(
+            f"Laplacian pseudo-inverse failed its check: |L L+ v - v| / |v| is"
+            f" {np.linalg.norm(res) / np.linalg.norm(v):.1e} on a probe, above {_PINV_TOL:g};"
+            " the Laplacian is too ill-conditioned"
+        )
     return CohesionMatrix(x)
 
 

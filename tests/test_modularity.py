@@ -240,7 +240,8 @@ def test_walk_operator_products_are_scipys():
     the same recurrence run through scipy's products gives the same bytes,
     for one vector and for several."""
     g, _ = planted_partition(4, 60, 0.2, 0.01, seed=3, ensure_connected=True)
-    op, a = CovarianceOperator(g, 3), g.sparse_adjacency
+    op, c = CovarianceOperator(g, 3), g.csr
+    a = csr_matrix((c.data, c.indices, c.indptr), shape=(g.n, g.n))
     x = np.random.default_rng(5).standard_normal((g.n, 4))
     for block in (x, x[:, :1]):
         want = op._apply(a @ block, op.p_u @ block, lambda y: a @ y)

@@ -163,6 +163,22 @@ def test_laplacian_pinv_fails_numerically_when_weights_swamp_each_other(n, w):
         laplacian_pinv(g)
 
 
+@pytest.mark.parametrize("w", [1e3, 1e5])
+def test_laplacian_pinv_checks_its_identity_on_a_probe(w):
+    """Weights alternating w and 1/w along a 400-node path factor, but the
+    conditioning costs accuracy: at w = 1e3, L+ maps the probe back to
+    within 2e-6 of its norm and the end-to-end resistance is right to 1e-5;
+    at 1e5 the probe misses by 2e-2 of its norm, which raises."""
+    g = Graph.from_edges([(u, u + 1, w if u % 2 == 0 else 1.0 / w) for u in range(399)])
+    if w > 1e4:
+        with pytest.raises(NumericalError, match="failed its check"):
+            laplacian_pinv(g)
+        return
+    x = laplacian_pinv(g).gamma
+    exact = 200 / w + 199 * w  # the series sum of the edge resistances 1/w_e
+    assert abs(x[0, 0] + x[-1, -1] - 2 * x[0, -1] - exact) <= 1e-5 * exact
+
+
 def test_resistance_goldens():
     single = resistance_distance(Graph.from_edges([(0, 1, 1.0)])).d
     assert single[0, 1] == pytest.approx(1.0, abs=1e-10)
