@@ -10,7 +10,8 @@ command run twice under the same BLAS thread setting writes identical
 bytes.
 
 Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
-3 numerical failure.
+3 numerical failure or out of memory (one ``out of memory:`` line,
+no traceback).
 """
 
 from __future__ import annotations
@@ -438,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ whose top eigenvectors are the principal components.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,7 +20,8 @@ import numpy as np
 
 from .errors import FormatError, NumericalError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks, _symmetrize, top_k_eigen
+from .spectral import Embedding, _check_symmetric, _fix_signs, _gaussians, _row_blocks
+from .spectral import _symmetrize, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
@@ -208,8 +208,7 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     x += r.mean()
     # An ill-conditioned L can leave x far from L+ with every block factored: probe
     # L x v = v, with L y = D y - A y from the edge arrays.
-    rnd = random.Random(0x5EED)  # not numpy.random, whose import adds 6 MB to a process
-    v = np.array([rnd.gauss(0.0, 1.0) for _ in range(g.n)])
+    v = next(_gaussians(g.n))
     v -= v.mean()
     y = x @ v
     u, w = g.edges.T

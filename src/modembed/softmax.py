@@ -186,7 +186,7 @@ def softmax_sweep(q: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
         old, z = h[u].copy(), row(u, h) - f.diag[u] * h[u]
         _reweight(h, u, z if g is None else z + f.left[u] @ g, theta)
         if g is not None:
-            g += np.outer(f.right[u], h[u] - old)
+            g += f.right[u][:, None] * (h[u] - old)
     return h
 
 

@@ -8,13 +8,14 @@ Lanczos iteration in numpy, which touches the matrix only through
 matrix-vector products, is faster for a few leading pairs of a large
 covariance (``krylov_pays`` says when) and also runs on the matrix-free
 covariance operator. Both meet the same residual contract, and neither
-imports scipy.
+imports scipy nor numpy.random.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -155,6 +156,15 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h + c
 
 
+def _gaussians(n: int) -> Iterator[np.ndarray]:
+    """Vectors of n standard normal draws, all from one stdlib generator
+    seeded 0x5EED, so reruns give the same bytes. Not numpy.random, whose
+    import adds about 6 MB to a process that draws nothing else."""
+    rnd = random.Random(0x5EED)
+    while True:
+        yield np.array([rnd.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Thick-restart Lanczos iteration (Wu & Simon 2000) for the
     algebraically largest k of n pairs, 1 <= k < n.
@@ -173,14 +183,13 @@ def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, 
     pair's residual |beta s_i| is at most eps max|theta|, and raises
     NumericalError after ``_MAX_RESTARTS`` restarts. The start vector,
     and a fresh vector whenever the Krylov space closes on an invariant
-    subspace, come from one fixed-seed generator, so reruns give the same
-    bytes.
+    subspace, are the successive draws of ``_gaussians``.
     """
-    rng, eps = np.random.default_rng(0x5EED), np.finfo(float).eps
+    draws, eps = _gaussians(n), np.finfo(float).eps
     ncv = min(n, max(2 * k + 1, 20))
     keep = k + (ncv - k) // 2
     basis, t = np.empty((ncv + 1, n)), np.zeros((ncv, ncv))
-    w = rng.uniform(-1.0, 1.0, n)
+    w = next(draws)
     basis[0] = w / np.linalg.norm(w)
     start, beta = 0, 0.0
     for _ in range(_MAX_RESTARTS):
@@ -195,7 +204,7 @@ def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, 
                 continue
             beta = 0.0  # the basis spans an invariant subspace: go on from a fresh vector
             if i + 1 < ncv:
-                w = rng.uniform(-1.0, 1.0, n)
+                w = next(draws)
                 _orthogonalize(basis[:i + 1], w)
                 basis[i + 1] = w / np.linalg.norm(w)
         theta, s = np.linalg.eigh(t)

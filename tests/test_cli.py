@@ -518,6 +518,34 @@ def test_numerical_errors_exit_three(tmp_path, path3_file):
     assert code == 3
 
 
+def test_running_out_of_memory_exits_three(tmp_path):
+    """A dense Q of a 20k-node cycle takes 2.98 GiB. With the address
+    space capped below that, spectrum ends with one line on stderr and
+    exit 3, not a traceback."""
+    graph = tmp_path / "cycle20k.txt"
+    graph.write_text("".join(f"{i} {(i + 1) % 20000}\n" for i in range(20000)))
+    code = ("import resource, sys; cap = 1536 << 20;"
+            " resource.setrlimit(resource.RLIMIT_AS, (cap, cap));"
+            " from modembed.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-c", code, "spectrum", str(graph), "--output", os.devnull]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("out of memory: Unable to allocate 2.98 GiB")
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_memory_error_is_one_line(monkeypatch, capsys, path3_file):
+    """A MemoryError without a message still ends in one line and exit 3."""
+    def exhaust(q):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "eigenvalues", exhaust)
+    assert main(["spectrum", path3_file, "--output", os.devnull]) == 3
+    assert capsys.readouterr().err == "out of memory: an allocation failed\n"
+
+
 def test_failed_pseudo_inverse_exits_three(tmp_path, capsys):
     """Weights alternating 1e150 and 1e-150 leave the shifted Laplacian
     numerically singular, and 1e6 and 1e-6 on 400 nodes leave L+ failing
@@ -789,18 +817,26 @@ _WITHOUT_SCIPY = """
 import os, sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 from modembed.cli import main
-karate, factions, cycle = sys.argv[1:]
-for argv in [
-    ["cluster", karate, "--dim", "2"],
-    ["cluster", karate, "--dim", "2", "--normalize"],
+karate, factions, cycle, planted, points = sys.argv[1:]
+for argv in [  # no draws from numpy: the solvers seed from the stdlib generator
     ["embed", karate, "--dim", "2"],
     ["embed", karate, "--dim", "auto"],
     ["spectrum", karate],
     ["spectrum", karate, "--sampler", "expdist"],
-    ["classify", karate, factions, "--dim", "2"],
+    ["eigenmap", karate, "--dim", "2"],
+    ["pca", points, "--dim", "2"],
     ["embed", cycle, "--dim", "16"],
+    ["embed", planted, "--dim", "auto"],
 ]:
     assert main(argv + ["--output", os.devnull]) == 0, argv
+    assert "numpy.random" not in sys.modules, argv
+for argv in [
+    ["cluster", karate, "--dim", "2"],
+    ["cluster", karate, "--dim", "2", "--normalize"],
+    ["classify", karate, factions, "--dim", "2"],
+]:
+    assert main(argv + ["--output", os.devnull]) == 0, argv
+    assert "numpy.random" in sys.modules, argv  # the control: their seeds come from numpy
 try:  # the control: a walk sampler's dense Q does import scipy
     main(["cluster", karate, "--sampler", "walk:2", "--dim", "2", "--output", os.devnull])
 except ImportError as exc:
@@ -812,15 +848,21 @@ else:
 
 def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
     """scipy is imported only for a walk sampler's dense Q, not at
-    start-up: these commands, on the karate club and on the Lanczos route
-    of a 3000-node cycle, run with scipy made unimportable."""
+    start-up: these commands, on the karate club, on the Lanczos route of
+    a 3000-node cycle and on the top_spectrum route of a 1600-node planted
+    graph, run with scipy made unimportable. numpy.random stays unloaded
+    too, until cluster or classify seed their draws from it."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    check = "import sys, modembed.cli; sys.exit('scipy' in sys.modules)"
+    check = "import sys, modembed.cli; sys.exit(bool({'scipy', 'numpy.random'} & set(sys.modules)))"
     subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
     cycle = tmp_path / "cycle.txt"
     cycle.write_text("".join(f"{i} {(i + 1) % 3000}\n" for i in range(3000)))
-    files = [str(DATA / "karate.txt"), str(DATA / "karate_factions.txt"), str(cycle)]
+    _, planted, _ = _write_large_planted(tmp_path, 8, 200)
+    points = tmp_path / "points.tsv"
+    np.savetxt(points, np.random.default_rng(0).standard_normal((40, 3)), delimiter="\t")
+    files = [str(DATA / "karate.txt"), str(DATA / "karate_factions.txt"), str(cycle), planted,
+             str(points)]
     subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *files], env=env, check=True,
                    timeout=300)
 
