@@ -3,11 +3,13 @@
 One subcommand per pipeline stage: ``spectrum`` and ``embed`` expose
 the spectral side, ``cluster`` and ``classify`` the softmax side,
 ``eigenmap`` and ``pca`` the Laplacian and Euclidean bridges, and
-``eval`` scores label files against each other. Only ``cluster`` and
-``classify`` draw random numbers, all from their ``--seed`` flag;
-per-stage generators are derived from it with fixed tags, so any
-command run twice under the same BLAS thread setting writes identical
-bytes.
+``eval`` scores label files against each other. Commands that sample
+the graph name the sampler in one ``--sampler`` value: ``edge``,
+``walk:L`` (lengths 1..L mixed), ``walk:L:exact``, ``expdist`` or
+``expdist:THETA``. Only ``cluster`` and ``classify`` draw random
+numbers, all from their ``--seed`` flag; per-stage generators are
+derived from it with fixed tags, so any command run twice under the
+same BLAS thread setting writes identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
 3 numerical failure or out of memory (one ``out of memory:`` line,
@@ -17,7 +19,6 @@ no traceback).
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import zlib
 from contextlib import nullcontext
@@ -48,10 +49,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)  # then read `-1e-3`, like `-0.001`, as a value
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
@@ -104,36 +101,19 @@ def _sweeps(text: str) -> int:
     return value
 
 
-def _sampler(text: str) -> tuple[str, int]:
-    """``--sampler`` value: (kind, walk length), the length 0 unless a walk."""
-    if text in ("edge", "expdist"):
-        return text, 0
-    if not text.startswith("walk:"):
-        raise argparse.ArgumentTypeError(f"expected edge, walk:L or expdist, got {text!r}")
-    length = int(text[len("walk:"):])
-    if not 1 <= length <= MAX_WALK_LENGTH:
-        raise argparse.ArgumentTypeError(f"walk length must be in 1..{MAX_WALK_LENGTH}")
-    return "walk", length
-
-
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--sampler",
-        type=_sampler,
-        default="edge",
-        help="edge | walk:L | expdist (default: edge)",
-    )
-    p.add_argument(
-        "--theta",
-        type=_finite,
-        default=None,
-        help="decay rate for the expdist sampler (default: -1e-3 / max distance)",
-    )
-    p.add_argument(
-        "--exact-length",
-        action="store_true",
-        help="walk sampler: use walks of exactly length L instead of the 1..L mixture",
-    )
+def _sampler(text: str) -> tuple[str, dict]:
+    """``--sampler`` value: the sampler and the keywords its Q is built with."""
+    kind, *rest = text.split(":")
+    if kind == "edge" and not rest:
+        return kind, {}
+    if kind == "expdist" and len(rest) <= 1:
+        return kind, {"theta": _finite(rest[0])} if rest else {}
+    if kind == "walk" and rest and rest[1:] in ([], ["exact"]):
+        length = int(rest[0])
+        if not 1 <= length <= MAX_WALK_LENGTH:
+            raise argparse.ArgumentTypeError(f"walk length must be in 1..{MAX_WALK_LENGTH}")
+        return kind, {"length": length, "exact_length": rest[1:] == ["exact"]}
+    raise argparse.ArgumentTypeError(f"must be edge, walk:L[:exact] or expdist[:THETA]: {text!r}")
 
 
 def _stage_seed(seed: int, tag: str) -> int:
@@ -157,16 +137,16 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 
 def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | CovarianceOperator:
-    """Q of the pair distribution the ``--sampler`` flags draw from g.
+    """Q of the pair distribution the ``--sampler`` value draws from g.
 
     The edge and walk samplers give the matrix-free operator, which
     forms its dense ``q`` only when a dense solve or the walk sampler's
     softmax ascent reads it; expdist gives the dense matrix.
     """
-    kind, length = args.sampler
+    kind, options = args.sampler
     if kind != "expdist":
-        return CovarianceOperator(g, length or 1, args.exact_length)
-    return modularity_matrix(exp_distance_sampling(resistance_distance(g), theta=args.theta))
+        return CovarianceOperator(g, **options)
+    return modularity_matrix(exp_distance_sampling(resistance_distance(g), **options))
 
 
 def _spectrum(
@@ -262,10 +242,11 @@ def _cmd_pca(args: argparse.Namespace) -> int:
     n = data.x.shape[0]
     if args.dim is not None and args.dim > n:
         raise _UsageError(f"--dim {args.dim} exceeds the point count {n}")
-    # auto reads every singular value, plus one zero for the Gram matrix's other n - p; for
-    # p >= n that zero follows sigma_n^2 of centred data, roundoff below the gap's floor.
+    # auto reads every singular value over the largest, which cannot overflow when squared,
+    # plus one zero for the Gram matrix's other n - p; for p >= n that zero follows
+    # sigma_n^2 of centred data, roundoff below the gap's floor.
     emb, scales = pca_embedding(data, args.dim or min(data.x.shape))
-    k = args.dim or select_dimension(np.append(scales**2, 0.0))
+    k = args.dim or select_dimension(np.append((scales / (scales[0] or 1.0)) ** 2, 0.0))
     h = emb.h[:, :k]
     _write_tsv(args.output, _embedding_rows(names, h * scales[:k] if args.scaled else h))
     return 0
@@ -366,7 +347,10 @@ def _build_parser() -> _Parser:
     def common(p, sampler=True, dim=True):
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
         if sampler:
-            _add_sampler_flags(p)
+            p.add_argument(
+                "--sampler", type=_sampler, default="edge",
+                help="edge | walk:L | walk:L:exact | expdist | expdist:THETA (default: edge)",
+            )
         if dim:
             p.add_argument(
                 "--dim", type=_dimension, default=None, help="embedding dimension: auto or K"

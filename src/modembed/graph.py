@@ -2,11 +2,12 @@
 
 A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 (m, 2) canonical pairs u < w with no pair repeated, and ``weights``,
-one positive weight per pair. The dense adjacency matrix, the degree
-vector and the compressed sparse rows ``csr`` are derived from them on
-first use. The dense adjacency is what the samplers consume; ``csr``
-feeds the covariance operator and the softmax ascent.
-:func:`laplacian` is built from the edges directly.
+one positive weight per pair. The degree vector and the compressed
+sparse rows ``csr`` are derived from them on first use; ``csr`` feeds
+the covariance operator and the softmax ascent. :func:`dense_adjacency`
+scatters the edges into a new n x n array, which the samplers, the
+dense ``q`` and :func:`laplacian` start from; ``Graph.adjacency`` keeps
+a read-only copy on the graph.
 """
 
 from __future__ import annotations
@@ -114,10 +115,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (bit-exact A[u, w] == A[w, u])."""
-        a = np.zeros((self.n, self.n))
-        u, w = self.edges.T
-        a[u, w] = a[w, u] = self.weights
+        """Read-only :func:`dense_adjacency`, kept for as long as the graph."""
+        a = dense_adjacency(self)
         a.setflags(write=False)
         return a
 
@@ -262,17 +261,26 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
     return Graph(len(ids), ends, weights, tuple(ids))
 
 
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """A new dense symmetric adjacency matrix, scattered from the edge
+    arrays (bit-exact A[u, w] == A[w, u]); nothing is cached on g."""
+    a = np.zeros((g.n, g.n))
+    u, w = g.edges.T
+    a[u, w] = a[w, u] = g.weights
+    return a
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian D - A, built from the edge arrays.
 
     Row sums vanish exactly for integer weights and to within roundoff
     otherwise, because the diagonal is built from the same row sums it
-    cancels against. Negation commutes with rounding, so the bits are
-    those of diag(A 1) - A, without reading or caching ``g.adjacency``.
+    cancels against. Negation commutes with rounding, and 0 - A keeps
+    the zeros off the edges +0.0, so the bits are those of diag(A 1) - A,
+    without reading or caching ``g.adjacency``.
     """
-    lap = np.zeros((g.n, g.n))
-    u, w = g.edges.T
-    lap[u, w] = lap[w, u] = -g.weights
+    lap = dense_adjacency(g)
+    np.subtract(0.0, lap, out=lap)
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 

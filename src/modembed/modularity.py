@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import CSR, Graph
+from .graph import CSR, Graph, dense_adjacency
 from .sampling import SampledGraph, check_walkable
 from .spectral import _check_symmetric, _norm_inf, _row_blocks, _symmetrize
 
@@ -106,9 +106,7 @@ class CovarianceOperator:
     def q(self) -> np.ndarray:
         """Dense Q, formed on first use from the edge arrays, not from A
         times the identity; averaging with Q^T drops walk-product roundoff."""
-        a = np.zeros((self.n, self.n))
-        u, w = self.graph.edges.T
-        a[u, w] = a[w, u] = self.graph.weights
+        a = dense_adjacency(self.graph)
         if self.length == 1:  # A / 2m - p_u p_u^T is symmetric and takes no product
             return self._apply(a, self.p_u)
         sparse = _scipy_csr(self.graph.csr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .graph import Graph, is_connected
+from .graph import Graph, dense_adjacency, is_connected
 from .semimetric import SemiMetric
 from .spectral import _check_symmetric, _symmetrize
 
@@ -65,7 +65,7 @@ def edge_sampling(g: Graph) -> SampledGraph:
     """
     if g.edge_count == 0:
         raise ValueError("edge sampling requires at least one edge")
-    return SampledGraph.from_matrix(g.adjacency / g.total_weight)
+    return SampledGraph.from_matrix(dense_adjacency(g) / g.total_weight)
 
 
 def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> SampledGraph:
@@ -82,9 +82,8 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
     explicit symmetrization only mops up roundoff.
     """
     check_walkable(g, length)
-    a = g.adjacency
     d = g.degrees
-    p_step = a / d[:, None]
+    p_step = dense_adjacency(g) / d[:, None]
     pi = d / g.total_weight
     walk = pi[:, None] * p_step
     if exact_length:

@@ -283,14 +283,21 @@ def pca_embedding(
     X - c; the column scales are the singular values, zero past the
     column count p. Scaled columns are classical PCA scores up to sign.
     Only a K above p takes the full n x n U, whose columns past p are
-    null vectors of the Gram matrix.
+    null vectors of the Gram matrix. Centred data, or a singular value,
+    past the float range is a ValueError.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
     n, p = x.x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    u, s, _ = np.linalg.svd(x.x - x.centroid, full_matrices=k > p)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned
+        centred = x.x - x.centroid
+    if not np.isfinite(centred).all():
+        raise ValueError("centred data overflows: a mean or value passes 1.8e308")
+    u, s, _ = np.linalg.svd(centred, full_matrices=k > p)
+    if not np.isfinite(s[0]):
+        raise ValueError("centred data overflows: its largest singular value passes 1.8e308")
     scales = np.pad(s[:k], (0, max(0, k - s.size)))
     return Embedding(h=_fix_signs(u[:, :k])), scales
 

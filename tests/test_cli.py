@@ -405,7 +405,7 @@ def test_usage_errors_exit_one(tmp_path, path3_file):
         ["cluster", "--tol", "nan"],
         ["cluster", "--tol", "-1"],
         ["cluster", "--max-sweeps", "-3"],
-        ["embed", "--sampler", "expdist", "--theta", "nan"],
+        ["embed", "--sampler", "expdist:nan"],
         ["embed", "--dim", "0"],
         ["embed", "--dim", "two"],
         ["spectrum", "--seed", "1"],
@@ -428,8 +428,11 @@ def test_bad_flag_values_exit_one(tmp_path, path3_file, flags):
 
 def test_bad_sampler_is_rejected_before_reading_the_graph(tmp_path):
     out = tmp_path / "x.tsv"
-    argv = ["embed", str(tmp_path / "missing.txt"), "--sampler", "bogus", "--output", str(out)]
-    assert main(argv) == 1
+    for flags in (["--sampler", "bogus"], ["--theta", "5"], ["--exact-length"],
+                  *(["--sampler", v] for v in ("edge:1", "walk:3:fast", "walk:3:exact:x",
+                                               "expdist:1:2"))):
+        argv = ["embed", str(tmp_path / "missing.txt"), *flags, "--output", str(out)]
+        assert main(argv) == 1, flags
     assert not out.exists()
 
 
@@ -493,12 +496,13 @@ def test_overflowing_weights_are_a_one_line_input_error(tmp_path, text, message)
 
 
 def test_negative_theta_in_exponent_form_is_a_value(tmp_path):
-    out = [tmp_path / "spaced.tsv", tmp_path / "joined.tsv"]
+    out = [tmp_path / "spaced.tsv", tmp_path / "joined.tsv", tmp_path / "decimal.tsv"]
     karate = str(DATA / "karate.txt")
-    argv = ["spectrum", karate, "--sampler", "expdist"]
-    assert main([*argv, "--theta", "-1e-3", "--output", str(out[0])]) == 0
-    assert main([*argv, "--theta=-1e-3", "--output", str(out[1])]) == 0
-    assert out[0].read_bytes() == out[1].read_bytes()
+    argv = ["spectrum", karate]
+    assert main([*argv, "--sampler", "expdist:-1e-3", "--output", str(out[0])]) == 0
+    assert main([*argv, "--sampler=expdist:-1e-3", "--output", str(out[1])]) == 0
+    assert main([*argv, "--sampler", "expdist:-0.001", "--output", str(out[2])]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes() == out[2].read_bytes()
 
 
 def test_davis_fixture_embeds(tmp_path):
@@ -513,7 +517,7 @@ def test_davis_fixture_embeds(tmp_path):
 def test_numerical_errors_exit_three(tmp_path, path3_file):
     out = str(tmp_path / "x.tsv")
     code = main(
-        ["spectrum", path3_file, "--sampler", "expdist", "--theta", "-1000", "--output", out]
+        ["spectrum", path3_file, "--sampler", "expdist:-1000", "--output", out]
     )
     assert code == 3
 
@@ -603,6 +607,37 @@ def test_pca_rejects_non_finite_field_with_its_line(tmp_path, capsys, field):
     points.write_text(f"1.0,2.0\n3.0,4.0\n5.0,{field}\n")
     assert main(["pca", str(points), "--output", str(tmp_path / "p.tsv")]) == 2
     assert "line 3: non-finite field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("rows", "code", "stdout", "stderr"),
+    [
+        (["1.7e308\t1.7e308"] * 3, 2, "",
+         "input error: centred data overflows: a mean or value passes 1.8e308\n"),
+        (["1.7e308"] * 200 + ["-1.7e308"] * 200, 2, "",
+         "input error: centred data overflows: a mean or value passes 1.8e308\n"),
+        (["1e308\t1e308", "-1e308\t-1e308"], 2, "",
+         "input error: centred data overflows: its largest singular value passes 1.8e308\n"),
+        (["1e200\t0\t0", "-1e200\t0\t0", "0\t8e199\t0", "0\t-8e199\t0", "0\t0\t1", "0\t0\t-1"],
+         0, "node\tdim_1\tdim_2\n", ""),
+    ],
+    ids=["mean-overflows", "mean-is-nan", "norm-overflows", "squares-overflow"],
+)
+def test_pca_near_the_float_range(tmp_path, rows, code, stdout, stderr):
+    """Data whose centred values overflow, or whose mean sums +inf and
+    -inf halves, is an input error, and --dim auto reads its gap from the
+    singular values over the largest, whose squares cannot overflow:
+    singular values 1.4e200, 1.1e200 and 1.4 give k = 2. None prints a
+    warning."""
+    data = tmp_path / "points.tsv"
+    data.write_text("".join(row + "\n" for row in rows))
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "modembed.cli", "pca", str(data), "--dim", "auto"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (code, stderr)
+    assert done.stdout.startswith(stdout)
 
 
 def test_fresh_process_reruns_are_byte_identical(tmp_path):
@@ -715,7 +750,7 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
         ([], [("CovarianceOperator", 2, "lanczos")], edge_sampling),
         (["--sampler", "walk:3"], [("CovarianceOperator", 2, "lanczos")],
          lambda g: random_walk_sampling(g, 3)),
-        (["--sampler", "walk:3", "--exact-length"], [("CovarianceOperator", 2, "lanczos")],
+        (["--sampler", "walk:3:exact"], [("CovarianceOperator", 2, "lanczos")],
          lambda g: random_walk_sampling(g, 3, exact_length=True)),
         (["--emit-spectrum"], [("CovarianceOperator", 2, "lanczos")], edge_sampling),
         (["--sampler", "expdist"], [("ModularityMatrix", 2, "lanczos")], None),
@@ -1025,7 +1060,7 @@ def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sampler", [["walk:3"], ["walk:2", "--exact-length"], ["edge"]],
+    "sampler", [["walk:3"], ["walk:2:exact"], ["edge"]],
     ids=["walk:3", "exact-walk:2", "edge"],
 )
 def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):

@@ -43,6 +43,17 @@ def test_edge_sampling_needs_an_edge():
         edge_sampling(Graph.from_edges([], n=1))
 
 
+@pytest.mark.parametrize(
+    "sample", [edge_sampling, lambda g: random_walk_sampling(g, 3, exact_length=True)],
+    ids=["edge", "walk"],
+)
+def test_samplers_cache_no_dense_adjacency(sample):
+    """Each sampler scatters an adjacency of its own, which no graph keeps."""
+    g = random_connected_graph(np.random.default_rng(5), 30, weighted=True)
+    sample(g)
+    assert "adjacency" not in g.__dict__
+
+
 def test_walk_length_one_equals_edge_sampling():
     g = random_connected_graph(np.random.default_rng(0), 17, weighted=True)
     np.testing.assert_allclose(
