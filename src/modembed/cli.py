@@ -7,9 +7,10 @@ the spectral side, ``cluster`` and ``classify`` the softmax side,
 the graph name the sampler in one ``--sampler`` value: ``edge``,
 ``walk:L`` (lengths 1..L mixed), ``walk:L:exact``, ``expdist`` or
 ``expdist:THETA``. Only ``cluster`` and ``classify`` draw random
-numbers, all from their ``--seed`` flag; per-stage generators are
-derived from it with fixed tags, so any command run twice under the
-same BLAS thread setting writes identical bytes.
+numbers, all from their ``--seed`` flag: each stage seeds a stdlib
+``random.Random`` from it and a fixed tag, so no command loads
+``numpy.random``, and any command run twice under the same BLAS thread
+setting writes identical bytes.
 
 Exit codes: 0 success, 1 usage, 2 malformed or invalid input,
 3 numerical failure or out of memory (one ``out of memory:`` line,
@@ -58,23 +59,26 @@ class _Parser(argparse.ArgumentParser):
 # ===================================================================
 
 
+def _parse(kind: type, text: str, spelling: str):
+    """kind(text), or a usage error that names the accepted ``spelling``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {spelling}, got {text!r}") from None
+
+
 def _dimension(text: str) -> int | None:
     """``--dim`` value: None for 'auto', otherwise a positive integer."""
     if text == "auto":
         return None
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be 'auto' or a positive integer, got {text!r}"
-        ) from None
+    k = _parse(int, text, "'auto' or a positive integer")
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {k}")
     return k
 
 
 def _finite(text: str) -> float:
-    value = float(text)
+    value = _parse(float, text, "a number")
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -95,7 +99,7 @@ def _fraction(text: str) -> float:
 
 
 def _sweeps(text: str) -> int:
-    value = int(text)
+    value = _parse(int, text, "a nonnegative integer")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -104,21 +108,27 @@ def _sweeps(text: str) -> int:
 def _sampler(text: str) -> tuple[str, dict]:
     """``--sampler`` value: the sampler and the keywords its Q is built with."""
     kind, *rest = text.split(":")
-    if kind == "edge" and not rest:
-        return kind, {}
-    if kind == "expdist" and len(rest) <= 1:
-        return kind, {"theta": _finite(rest[0])} if rest else {}
-    if kind == "walk" and rest and rest[1:] in ([], ["exact"]):
-        length = int(rest[0])
-        if not 1 <= length <= MAX_WALK_LENGTH:
-            raise argparse.ArgumentTypeError(f"walk length must be in 1..{MAX_WALK_LENGTH}")
-        return kind, {"length": length, "exact_length": rest[1:] == ["exact"]}
-    raise argparse.ArgumentTypeError(f"must be edge, walk:L[:exact] or expdist[:THETA]: {text!r}")
+    try:
+        if kind == "edge" and not rest:
+            return kind, {}
+        if kind == "expdist" and len(rest) <= 1:
+            return kind, {"theta": _finite(rest[0])} if rest else {}
+        if kind == "walk" and rest and rest[1:] in ([], ["exact"]):
+            length = int(rest[0])
+            if 1 <= length <= MAX_WALK_LENGTH:
+                return kind, {"length": length, "exact_length": rest[1:] == ["exact"]}
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be edge, walk:L[:exact] with 1 <= L <= {MAX_WALK_LENGTH}, or expdist[:THETA] "
+        f"with a finite THETA: {text!r}"
+    )
 
 
 def _stage_seed(seed: int, tag: str) -> int:
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(tag.encode())])
-    return int(ss.generate_state(1)[0])
+    """The library seed of one stage: ``--seed`` modulo 2**32 and the tag's
+    CRC-32 side by side, so distinct pairs never share a stream."""
+    return (seed & 0xFFFFFFFF) << 32 | zlib.crc32(tag.encode())
 
 
 # ===================================================================

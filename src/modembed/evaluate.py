@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, connected_components, merge_edges
+from .spectral import _uniforms
 
 # Uniforms per row block of planted_partition's draw: 512 KB of float64.
 _DRAW_BLOCK = 2**16
@@ -74,17 +75,19 @@ def train_test_split(
 ) -> tuple[dict[int, int], np.ndarray]:
     """Seeded split into a training label map and holdout indices.
 
-    Stratified mode draws round(fraction * class size) nodes per class
-    without replacement, so every class lands in the training set; a
-    fraction too small to give some class even one node is rejected, as
-    is a split that leaves the holdout empty. Unstratified mode draws
-    round(fraction * n) nodes from the whole range and offers no
-    per-class guarantee.
+    Every node draws one uniform key, all from ``_uniforms(seed)``, and
+    the split takes the smallest keys, ties to the lower index.
+    Stratified mode takes round(fraction * class size) nodes per class,
+    so every class lands in the training set; a fraction too small to
+    give some class even one node is rejected, as is a split that leaves
+    the holdout empty. Unstratified mode takes round(fraction * n) nodes
+    from the whole range and offers no per-class guarantee. A negative
+    seed is a ValueError, a non-integer one a TypeError.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
     n = dataset.n
+    keys = _uniforms(seed, n)
     chosen: list[np.ndarray] = []
     if stratified:
         for c in range(dataset.n_classes):
@@ -95,12 +98,12 @@ def train_test_split(
                     f"train fraction {train_fraction} cannot represent class {c} "
                     f"({members.size} members)"
                 )
-            chosen.append(rng.choice(members, size=count, replace=False))
+            chosen.append(members[np.argsort(keys[members], kind="stable")[:count]])
     else:
         count = int(round(train_fraction * n))
         if count == 0:
             raise ValueError(f"train fraction {train_fraction} selects no nodes")
-        chosen.append(rng.choice(n, size=count, replace=False))
+        chosen.append(np.argsort(keys, kind="stable")[:count])
     train = np.sort(np.concatenate(chosen))
     if train.size >= n:
         raise ValueError("split leaves an empty holdout")

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .modularity import CovarianceOperator, ModularityMatrix, Partition
-from .spectral import Embedding, _check_symmetric
+from .spectral import Embedding, _check_symmetric, _uniforms
 
 LabelSet = Mapping[int, int]
 Similarity = np.ndarray | ModularityMatrix | CovarianceOperator | Embedding
@@ -190,8 +190,9 @@ def softmax_sweep(q: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
     return h
 
 
-def _perturbed_uniform(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    h = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(n, k))
+def _perturbed_uniform(n: int, k: int, seed: int) -> np.ndarray:
+    """Rows of 1 + 0.1 v, v uniform on [-1, 1) from ``_uniforms(seed)``, normalized."""
+    h = 1.0 + 0.1 * (2.0 * _uniforms(seed, n * k).reshape(n, k) - 1.0)
     return h / h.sum(axis=1, keepdims=True)
 
 
@@ -266,13 +267,13 @@ def softmax_classify(
         Inverse temperature; defaults to n**2, matching the natural
         1/n**2 scale of modularity entries.
     seed : int
-        Seed for the perturbed-uniform initialization.
+        Nonnegative seed for the perturbed-uniform initialization.
     max_sweeps, tol : int, float
         Stop after a sweep whose objective gain falls below
         tol * max(1, |objective|), or after max_sweeps sweeps. tol = 0
         stops at the first negative gain, which near a fixed point is
         roundoff: on the karate club's dense edge Q (k = 3, seed 1) the
-        ascent stops after 21 sweeps on a gain of -5.6e-17.
+        ascent stops after 92 sweeps on a gain of -5.6e-17.
     normalize : bool
         Pre-scale q by 1 / max |q(u, w)| over u != w first.
     """
@@ -284,8 +285,7 @@ def softmax_classify(
         theta = float(n * n)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    rng = np.random.default_rng(seed)
-    h = _perturbed_uniform(n, k, rng)
+    h = _perturbed_uniform(n, k, seed)
     for node, cls in labels.items():
         if not 0 <= node < n:
             raise ValueError(f"labeled node {node} out of range")

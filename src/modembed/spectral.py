@@ -13,8 +13,10 @@ imports scipy nor numpy.random.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -128,16 +130,20 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _check_symmetric(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """m as a float array, square and within ``tol`` of its transpose; a
-    NaN or infinite entry is not. Checked a block of rows at a time."""
+    NaN or infinite entry is not. Checked a 64 x 64 tile and its mirror
+    at a time, on and above the diagonal; a tile's copy and numpy's buffer
+    for its subtraction come to about 64 kB."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square")
-    for b in _row_blocks(*m.shape):
-        t = m[:, b].T.copy()
-        t -= m[b]
-        if not np.max(np.abs(t, out=t)) <= tol:
-            raise ValueError(f"{name} must be finite and symmetric")
-        del t
+    tiles = [slice(s, s + 64) for s in range(0, m.shape[0], 64)]
+    for i, b in enumerate(tiles):
+        for c in tiles[i:]:
+            t = m[c, b].T.copy()  # copies, unlike ufuncs, take no iterator buffers
+            t -= m[b, c]
+            if not np.max(np.abs(t, out=t)) <= tol:
+                raise ValueError(f"{name} must be finite and symmetric")
+            del t  # before the next tile's t: one tile alive at a time
     return m
 
 
@@ -163,6 +169,19 @@ def _gaussians(n: int) -> Iterator[np.ndarray]:
     rnd = random.Random(0x5EED)
     while True:
         yield np.array([rnd.gauss(0.0, 1.0) for _ in range(n)])
+
+
+def _uniforms(seed: int, n: int) -> np.ndarray:
+    """n uniform draws on [0, 1) from a stdlib generator seeded ``seed``,
+    taken through ``random()`` alone, whose sequence Python keeps across
+    releases. Like ``_gaussians``, it leaves numpy.random unloaded. A
+    negative seed is a ValueError and a non-integer one a TypeError:
+    ``random.Random`` would seed stream s from -s, and take floats and
+    strings."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.fromiter(starmap(random.Random(seed).random, repeat((), n)), float, n)
 
 
 def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -68,6 +68,49 @@ def test_gate_sees_a_defect_in_one_block_only(defect, where):
         _check_symmetric(m)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "u, w, value",
+    [
+        (5, 200, 1e-11),  # above the diagonal in the off-diagonal tile (0, 3)
+        (200, 5, 1e-11),  # its mirror, read through the transpose
+        (127, 128, 1e-11),  # across the edge of the second and third tiles
+        (290, 40, 1e-11),  # in the ragged last tile row
+        (150, 150, np.nan),  # on the diagonal
+        (10, 290, np.inf),  # set in both entries of the pair
+    ],
+)
+def test_tiled_gate_sees_each_pair(u, w, value):
+    """At n = 300 the tiles are four of 64 rows and a ragged one of 44; the
+    gate reads every pair once, in a tile on or above the diagonal."""
+    n = 300
+    m = np.random.default_rng(n).standard_normal((n, n))
+    m += m.T
+    _check_symmetric(m)
+    if np.isfinite(value):
+        m[u, w] += value
+    else:
+        m[u, w] = m[w, u] = value
+    with pytest.raises(ValueError, match="must be finite and symmetric"):
+        _check_symmetric(m)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_tiled_gate_matches_the_whole_array_test(n, seed):
+    """The gate passes exactly when max |m - m^T| <= tol, near the bound."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    m += m.T
+    m[rng.integers(n), rng.integers(n)] += rng.choice([0.5e-12, 1e-12, 2e-12])
+    try:
+        _check_symmetric(m)
+        passed = True
+    except ValueError:
+        passed = False
+    assert passed == (np.max(np.abs(m - m.T)) <= 1e-12)
+
+
 _N = 600  # 4 x 150 nodes: 22 full blocks of 27 rows and a ragged one of 6
 
 

@@ -10,6 +10,7 @@ from modembed import (
     CovarianceOperator,
     Embedding,
     Graph,
+    LabeledDataset,
     Partition,
     StochasticEmbedding,
     edge_sampling,
@@ -159,6 +160,27 @@ def test_sweep_skips_one_hot_rows(monkeypatch, form):
     softmax_sweep(q[form], h, theta=100.0)
     assert calls == []
     assert np.array_equal(h, before)
+
+
+_SEEDED = {
+    "cluster": lambda seed: softmax_cluster(np.zeros((4, 4)), 2, seed=seed),
+    "classify": lambda seed: softmax_classify(np.zeros((4, 4)), {0: 1}, 2, seed=seed),
+    "split": lambda seed: train_test_split(
+        LabeledDataset(labels=np.array([0, 0, 1, 1]), n_classes=2), 0.5, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("draw", _SEEDED.values(), ids=_SEEDED.keys())
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError), ("1", TypeError)])
+def test_seeds_are_nonnegative_integers(draw, seed, error):
+    """The stdlib generator would take -s as s, a float or a string; the
+    seeded library calls reject them, as numpy's generator did, and take
+    numpy integers as the equal int."""
+    with pytest.raises(error, match="nonnegative" if error is ValueError else None):
+        draw(seed)
+    a, b = draw(3), draw(np.int64(3))
+    assert a[0] == b[0] if isinstance(a, tuple) else np.array_equal(a.h, b.h)
 
 
 def test_cluster_zero_matrix_returns_initial_state():
