@@ -142,9 +142,11 @@ def _reweight(h: np.ndarray, u: int, z: np.ndarray, theta: float) -> None:
     is subtracted first, so no exponent overflows."""
     row = h[u]
     support = row > 0
-    shifted = theta * (z[support] - z[support].max())
-    new = np.zeros_like(row)
-    new[support] = row[support] * np.exp(shifted)
+    if support.all():  # the same arithmetic without the mask, so the same bits
+        new = row * np.exp(theta * (z - z.max()))
+    else:
+        new = np.zeros_like(row)
+        new[support] = row[support] * np.exp(theta * (z[support] - z[support].max()))
     h[u] = new / new.sum()
 
 

@@ -1,5 +1,6 @@
 """Modularity matrices, set covariance, partition and normalized scores."""
 
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from modembed import (
     top_k_eigen,
 )
 from modembed.graph import CSR
-from modembed.modularity import _csr_product
+from modembed.modularity import _HEAD, _SparseProduct, _scipy_csr
 
 from helpers import (
     barbell,
@@ -231,8 +232,54 @@ def test_numpy_product_is_scipys_on_a_row_without_entries():
     padded = CSR(np.append(a.indptr, a.indptr[-1]), a.indices, a.data, a.rows)
     x = np.random.default_rng(4).standard_normal((n, 3))
     want = csr_matrix((a.data, a.indices, padded.indptr), shape=(n, n)) @ x
-    got = _csr_product(padded, a.indices.astype(np.intp), x)
+    got = _SparseProduct(padded)(x)
     assert got.tobytes() == want.tobytes() and not got[-1].any()
+
+
+def test_numpy_product_is_scipys_past_the_head():
+    """Rows longer than the summed head positions finish through np.add.at
+    with scipy's bits, for one vector and for three columns: a hub joined
+    to 300 nodes and a second one to 100 of them, over a ring with random
+    weights, so the tail is hundreds of positions deep and two rows deep
+    at its start."""
+    rnd = random.Random(7)
+    edges = {(0, v): rnd.uniform(0.1, 10) for v in range(1, 301)}
+    edges |= {(1, v): rnd.uniform(0.1, 10) for v in range(101, 201)}
+    edges |= {(v, v % 300 + 1): rnd.uniform(0.1, 10) for v in range(1, 301)}
+    g = Graph.from_edges([(u, w, x) for (u, w), x in edges.items()])
+    product = _SparseProduct(g.csr)
+    assert len(product.head) == _HEAD and 0 < product.cut < product.gather.size - 200
+    x = np.random.default_rng(6).standard_normal((g.n, 3))
+    a = _scipy_csr(g.csr)
+    assert product(x).tobytes() == (a @ x).tobytes()
+    assert product(x[:, :1])[:, 0].tobytes() == (a @ x[:, 0]).tobytes()
+
+
+def test_numpy_product_memory_grows_with_the_entries():
+    """Building the product's layout and running one product on a star of
+    20 000 nodes stays within a few arrays of n + nnz entries, where a
+    (max degree x n) temporary would hold 4e8; and one product on a
+    3200-node planted graph allocates about one float per stored entry
+    beyond its output."""
+    n = 20_000
+    star = Graph(n, np.array([(0, v) for v in range(1, n)]), np.ones(n - 1)).csr
+    x = np.ones((n, 1))
+    tracemalloc.start()
+    try:
+        _SparseProduct(star)(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (n + star.data.size) * 8
+    g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
+    product, x = _SparseProduct(g.csr), np.ones((g.n, 1))
+    tracemalloc.start()
+    try:
+        out = product(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * g.csr.data.size * 8 + out.nbytes
 
 
 def test_walk_operator_products_are_scipys():
