@@ -16,10 +16,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, connected_components, merge_edges
-from .spectral import _uniforms
-
-# Uniforms per row block of planted_partition's draw: 512 KB of float64.
-_DRAW_BLOCK = 2**16
+from .spectral import _row_blocks, _uniforms
 
 
 @dataclass(frozen=True)
@@ -189,12 +186,12 @@ def planted_partition(
     rng = np.random.default_rng(seed)
     # One (n, n) uniform draw, taken a row block at a time from the same stream: the same
     # pairs (u, w), u < w, without an n x n array.
-    rows, parts = max(1, _DRAW_BLOCK // n), []
-    for start in range(0, n, rows):
-        block = np.arange(start, min(start + rows, n))[:, None]
+    parts = []
+    for b in _row_blocks(n, n):
+        block = np.arange(n)[b, None]
         prob = np.where(labels[block] == labels, p_in, p_out)
         present = (rng.random(prob.shape) < prob) & (np.arange(n) > block)
-        parts.append(np.argwhere(present) + [start, 0])
+        parts.append(np.argwhere(present) + [b.start, 0])
     edges = np.concatenate(parts)
     if ensure_connected:
         edges = _repair_connectivity(edges, labels, rng)

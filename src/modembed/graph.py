@@ -2,12 +2,12 @@
 
 A ``Graph`` stores its edges as two read-only arrays: ``edges``, the
 (m, 2) canonical pairs u < w with no pair repeated, and ``weights``,
-one positive weight per pair. The degree vector and the compressed
-sparse rows ``csr`` are derived from them on first use; ``csr`` feeds
-the covariance operator and the softmax ascent. :func:`dense_adjacency`
-scatters the edges into a new n x n array, which the samplers, the
-dense ``q`` and :func:`laplacian` start from; ``Graph.adjacency`` keeps
-a read-only copy on the graph.
+one positive weight per pair; the degrees are derived on first use.
+:func:`csr_adjacency` builds new compressed sparse rows from them, which
+the covariance operator and the softmax ascent each keep in their own
+form, and :func:`dense_adjacency` a new n x n array, which the samplers,
+the dense ``q`` and :func:`laplacian` start from; neither caches on the
+graph. ``Graph.adjacency`` keeps a read-only dense copy.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 from .errors import FormatError
 
 # The symmetric adjacency as compressed sparse rows: row u's neighbours are
-# indices[indptr[u]:indptr[u + 1]], ascending, with their weights in data;
-# rows holds the row of every entry, so row u is rows[indptr[u]:indptr[u + 1]].
-CSR = namedtuple("CSR", "indptr indices data rows")
+# indices[indptr[u]:indptr[u + 1]], ascending, with their weights in data.
+CSR = namedtuple("CSR", "indptr indices data")
 
 
 # Arrays have no truth value, so fields cannot be compared: equality is identity.
@@ -118,24 +117,6 @@ class Graph:
         """Read-only :func:`dense_adjacency`, kept for as long as the graph."""
         a = dense_adjacency(self)
         a.setflags(write=False)
-        return a
-
-    @cached_property
-    def csr(self) -> CSR:
-        """The adjacency as read-only arrays, built without the dense one:
-        the canonical CSR of the symmetric pairs, each row's columns in
-        ascending order, with int32 indices while n and 2m fit and int64
-        past that. rows, the row of every entry, has the dtype of the indices."""
-        u, w = self.edges.T
-        rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
-        order = np.lexsort((cols, rows))
-        index = np.int32 if max(self.n, rows.size) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(self.n + 1, dtype=index)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        a = CSR(indptr, cols[order].astype(index), np.concatenate([self.weights] * 2)[order],
-                np.repeat(np.arange(self.n, dtype=index), np.diff(indptr)))
-        for part in a:
-            part.setflags(write=False)
         return a
 
     @cached_property
@@ -259,6 +240,20 @@ def load_edge_list(lines: Iterable[str] | str) -> Graph:
         np.frombuffer(ends, dtype=np.int64).reshape(-1, 2), np.frombuffer(weights), len(ids)
     )
     return Graph(len(ids), ends, weights, tuple(ids))
+
+
+def csr_adjacency(g: Graph) -> CSR:
+    """New compressed sparse rows of the symmetric adjacency, built
+    without the dense one: the canonical CSR of both orientations of
+    every pair, each row's columns in ascending order, with int32 indices
+    while n and 2m fit and int64 past that; nothing is cached on g."""
+    u, w = g.edges.T
+    rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
+    order = np.lexsort((cols, rows))
+    index = np.int32 if max(g.n, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(g.n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    return CSR(indptr, cols[order].astype(index), np.concatenate([g.weights] * 2)[order])
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import CSR, Graph, dense_adjacency
+from .graph import CSR, Graph, csr_adjacency, dense_adjacency
 from .sampling import SampledGraph, check_walkable
 from .spectral import _check_symmetric, _norm_inf, _row_blocks, _symmetrize
 
@@ -109,7 +109,7 @@ class CovarianceOperator:
         a = dense_adjacency(self.graph)
         if self.length == 1:  # A / 2m - p_u p_u^T is symmetric and takes no product
             return self._apply(a, self.p_u)
-        sparse = _scipy_csr(self.graph.csr)
+        sparse = _scipy_csr(csr_adjacency(self.graph))
         return _symmetrize(self._apply(a, self.p_u, lambda x: sparse @ x))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -120,7 +120,7 @@ class CovarianceOperator:
 
     @cached_property
     def _adjacency(self) -> _SparseProduct:
-        return _SparseProduct(self.graph.csr)
+        return _SparseProduct(csr_adjacency(self.graph))
 
     def _apply(self, a_x: np.ndarray, pu_x: np.ndarray, product=None) -> np.ndarray:
         """QX from AX and p_u^T X, with ``product`` (default ``_adjacency``)
@@ -137,9 +137,10 @@ class CovarianceOperator:
 
 
 def _scipy_csr(a: CSR):
-    """``a`` as a scipy CSR matrix that shares its buffers. Its products
-    have the bits of :class:`_SparseProduct` and run several times faster
-    on n columns; scipy is imported here, so only a walk's dense q loads it."""
+    """``a`` as a scipy CSR matrix over its own buffers, not a copy: pass
+    a fresh :func:`~modembed.graph.csr_adjacency`. Its products have the
+    bits of :class:`_SparseProduct` and run several times faster on n
+    columns; scipy is imported here, so only a walk's dense q loads it."""
     from scipy.sparse import csr_matrix
 
     n = a.indptr.size - 1

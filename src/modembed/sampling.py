@@ -47,11 +47,6 @@ class SampledGraph:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", p.sum(axis=1))
 
-    @classmethod
-    def from_matrix(cls, p: np.ndarray) -> "SampledGraph":
-        """Validate a symmetrized copy of p (the np.inf gate checks shape and finiteness)."""
-        return cls(_symmetrize(_check_symmetric(np.array(p, dtype=float), np.inf, "p")))
-
     @property
     def n(self) -> int:
         return self.p.shape[0]
@@ -65,7 +60,8 @@ def edge_sampling(g: Graph) -> SampledGraph:
     """
     if g.edge_count == 0:
         raise ValueError("edge sampling requires at least one edge")
-    return SampledGraph.from_matrix(dense_adjacency(g) / g.total_weight)
+    p = dense_adjacency(g)  # exactly symmetric, so it needs no symmetrizing
+    return SampledGraph(np.divide(p, g.total_weight, out=p))
 
 
 def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> SampledGraph:
@@ -96,7 +92,7 @@ def random_walk_sampling(g: Graph, length: int, exact_length: bool = False) -> S
             walk = walk @ p_step
             mix += walk
         mix /= length
-    return SampledGraph.from_matrix(mix)
+    return SampledGraph(_symmetrize(mix))
 
 
 def check_walkable(g: Graph, length: int) -> None:

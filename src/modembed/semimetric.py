@@ -228,12 +228,13 @@ def resistance_distance(g: Graph) -> SemiMetric:
 
     Equivalently the semi-metric induced by twice the pseudo-inverse;
     doubling the pseudo-inverse is what makes the duality close, since
-    double-centering the resistance gives back 2 gamma exactly. The
-    doubling overwrites the induced distances, which is exact, so the
-    pseudo-inverse is validated once, at its own scale.
+    double-centering the resistance gives back 2 gamma exactly. The exact
+    doubling overwrites L+ once it is validated at its own scale, so the
+    distances, twice those L+ induces to the bit, are checked once.
     """
-    d = induce_metric(laplacian_pinv(g)).d  # no caller holds this array
-    return SemiMetric(np.multiply(d, 2.0, out=d))
+    pinv = laplacian_pinv(g)  # no caller holds its array
+    np.multiply(pinv.gamma, 2.0, out=pinv.gamma)
+    return induce_metric(pinv)
 
 
 def eigenmap_embedding(g: Graph, k: int) -> Embedding:

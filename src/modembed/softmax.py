@@ -22,8 +22,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .graph import csr_adjacency
 from .modularity import CovarianceOperator, ModularityMatrix, Partition
-from .spectral import Embedding, _check_symmetric, _uniforms
+from .spectral import Embedding, _check_symmetric, _row_blocks, _uniforms
 
 LabelSet = Mapping[int, int]
 Similarity = np.ndarray | ModularityMatrix | CovarianceOperator | Embedding
@@ -81,8 +82,9 @@ def _form(q: Similarity, normalize: bool = False) -> _Form:
     if isinstance(q, Embedding):
         f = _Form(None, q.h, q.h, np.einsum("ij,ij->i", q.h, q.h))
     elif isinstance(q, CovarianceOperator) and q.length == 1:
-        a, p = q.graph.csr, q.p_u
-        f = _Form(a._replace(data=a.data / q.graph.total_weight), -p[:, None], p[:, None], -p * p)
+        a, p = csr_adjacency(q.graph), q.p_u
+        np.divide(a.data, q.graph.total_weight, out=a.data)  # A/2m in the fresh CSR's own data
+        f = _Form(a, -p[:, None], p[:, None], -p * p)
     else:
         b = q.q if hasattr(q, "q") else _check_symmetric(q)
         f = _Form(b, None, None, np.diag(b))
@@ -96,14 +98,14 @@ def _off_diagonal_max(f: _Form) -> float:
     p_u p_w of a non-adjacent pair, scanning nodes by descending degree."""
     n, a = f.diag.size, f.b
     if f.left is None or a is None:
-        rows, top = max(1, 2**16 // n), 0.0
-        for s in range(0, n, rows):
-            block = np.abs(a[s:s + rows] if f.left is None else f.left[s:s + rows] @ f.right.T)
-            np.fill_diagonal(block[:, s:], 0.0)
+        top = 0.0
+        for b in _row_blocks(n, n):
+            block = np.abs(a[b] if f.left is None else f.left[b] @ f.right.T)
+            np.fill_diagonal(block[:, b.start:], 0.0)
             top = max(top, float(block.max()))
         return top
     p = f.right[:, 0]
-    top = float(np.max(np.abs(a.data - p[a.rows] * p[a.indices]), initial=0))
+    top = float(np.max(np.abs(a.data - np.repeat(p, np.diff(a.indptr)) * p[a.indices]), initial=0))
     order = np.argsort(-p, kind="stable").tolist()
     for u in order:
         if p[u] * p[order[0]] <= top:
@@ -162,13 +164,14 @@ def _row_product(b):
 
 def _quadratic(b, h: np.ndarray) -> float:
     """sum_u h_u . (B h)_u for the three kinds of B. A CSR B is summed over
-    its entries, 4096 at a time, so no (nnz, K) gather is held."""
+    its entries, 4096 at a time, rows found in indptr, so no (nnz, K) gather is held."""
     if b is None or isinstance(b, np.ndarray):
         return 0.0 if b is None else float(np.sum(h * (b @ h)))
     total = 0.0
     for s in range(0, b.data.size, 4096):
-        e = slice(s, s + 4096)
-        total += b.data[e] @ np.einsum("ij,ij->i", h[b.rows[e]], h[b.indices[e]])
+        e = np.arange(s, min(s + 4096, b.data.size))
+        rows = np.searchsorted(b.indptr, e, "right") - 1
+        total += b.data[e] @ np.einsum("ij,ij->i", h[rows], h[b.indices[e]])
     return total
 
 

@@ -1,5 +1,5 @@
-"""Property tests: edge-list parsing, Graph's duplicate check and its CSR against plain
-references."""
+"""Property tests: edge-list parsing, Graph's duplicate check and its CSR adjacency
+against plain references."""
 
 import re
 
@@ -8,6 +8,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from modembed import CovarianceOperator, FormatError, Graph, load_edge_list
+from modembed.graph import csr_adjacency
 from modembed.modularity import _scipy_csr
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -115,9 +116,9 @@ def test_several_bad_lines_name_the_first(lines):
     st.randoms(use_true_random=False),
 )
 def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
-    """Graph.csr has the bits and dtypes of scipy's CSR built from both
-    orientations of every edge, whatever order the edges come in; its
-    arrays are read-only, and the walk covariance's scipy wrapper shares them."""
+    """csr_adjacency(g) has the bits and dtypes of scipy's CSR built from
+    both orientations of every edge, whatever order the edges come in, and
+    the walk covariance's scipy wrapper shares its arrays."""
     merged = {(v - 1, v): 1.0 for v in range(1, n)}  # a path: no node is isolated
     for u, w, x in raw:
         if u != w and max(u, w) < n:
@@ -132,11 +133,11 @@ def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
         (np.concatenate([weights, weights]), (np.concatenate([u, w]), np.concatenate([w, u]))),
         shape=(n, n),
     )
-    wrapped = _scipy_csr(g.csr)
+    c = csr_adjacency(g)
+    wrapped = _scipy_csr(c)
     for name in ("indptr", "indices", "data"):
-        got, ref = getattr(g.csr, name), getattr(want, name)
+        got, ref = getattr(c, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        assert not got.flags.writeable
         assert np.shares_memory(getattr(wrapped, name), got)
 
 
@@ -148,19 +149,16 @@ def test_csr_is_scipys_csr_of_the_symmetric_pairs(n, raw, rnd):
 )
 def test_numpy_product_is_scipys_product(n, raw, k, rnd):
     """The operator's numpy product A x has the bits of scipy's, for a
-    vector and for n x k columns, and csr.rows holds the row of every
-    entry at the dtype of the indices, read-only."""
+    vector and for n x k columns."""
     merged = {(v - 1, v): 1.0 for v in range(1, n)}
     for u, w, x in raw:
         if u != w and max(u, w) < n:
             merged[min(u, w), max(u, w)] = x
     edges = np.array(list(merged), dtype=np.int64)
     g = Graph(n, edges, np.array(list(merged.values())))
-    rows = g.csr.rows
-    assert rows.dtype == g.csr.indices.dtype and not rows.flags.writeable
-    assert rows.tobytes() == np.repeat(np.arange(n, dtype=rows.dtype), np.diff(g.csr.indptr)).tobytes()
     x = np.array([rnd.uniform(-1e3, 1e3) for _ in range(n * k)]).reshape(n, k)
     product = CovarianceOperator(g)._adjacency
-    a = csr_matrix((g.csr.data, g.csr.indices, g.csr.indptr), shape=(n, n))
+    c = csr_adjacency(g)
+    a = csr_matrix((c.data, c.indices, c.indptr), shape=(n, n))
     assert product(x).tobytes() == (a @ x).tobytes()
     assert product(x[:, :1])[:, 0].tobytes() == (a @ x[:, 0]).tobytes()

@@ -25,7 +25,7 @@ from modembed import (
     spectral,
     top_k_eigen,
 )
-from modembed.graph import CSR
+from modembed.graph import CSR, csr_adjacency
 from modembed.modularity import _HEAD, _SparseProduct, _scipy_csr
 
 from helpers import (
@@ -227,9 +227,9 @@ def test_numpy_product_is_scipys_on_a_row_without_entries():
     """A row with no entries comes out as zeros, and the rest of the
     product keeps scipy's bits: the karate club's CSR with one node
     appended that has no edges."""
-    a = load_edge_list((Path(__file__).parent / "data" / "karate.txt").read_text()).csr
+    a = csr_adjacency(load_edge_list((Path(__file__).parent / "data" / "karate.txt").read_text()))
     n = a.indptr.size
-    padded = CSR(np.append(a.indptr, a.indptr[-1]), a.indices, a.data, a.rows)
+    padded = CSR(np.append(a.indptr, a.indptr[-1]), a.indices, a.data)
     x = np.random.default_rng(4).standard_normal((n, 3))
     want = csr_matrix((a.data, a.indices, padded.indptr), shape=(n, n)) @ x
     got = _SparseProduct(padded)(x)
@@ -247,10 +247,10 @@ def test_numpy_product_is_scipys_past_the_head():
     edges |= {(1, v): rnd.uniform(0.1, 10) for v in range(101, 201)}
     edges |= {(v, v % 300 + 1): rnd.uniform(0.1, 10) for v in range(1, 301)}
     g = Graph.from_edges([(u, w, x) for (u, w), x in edges.items()])
-    product = _SparseProduct(g.csr)
+    product = _SparseProduct(csr_adjacency(g))
     assert len(product.head) == _HEAD and 0 < product.cut < product.gather.size - 200
     x = np.random.default_rng(6).standard_normal((g.n, 3))
-    a = _scipy_csr(g.csr)
+    a = _scipy_csr(csr_adjacency(g))
     assert product(x).tobytes() == (a @ x).tobytes()
     assert product(x[:, :1])[:, 0].tobytes() == (a @ x[:, 0]).tobytes()
 
@@ -262,7 +262,7 @@ def test_numpy_product_memory_grows_with_the_entries():
     3200-node planted graph allocates about one float per stored entry
     beyond its output."""
     n = 20_000
-    star = Graph(n, np.array([(0, v) for v in range(1, n)]), np.ones(n - 1)).csr
+    star = csr_adjacency(Graph(n, np.array([(0, v) for v in range(1, n)]), np.ones(n - 1)))
     x = np.ones((n, 1))
     tracemalloc.start()
     try:
@@ -272,14 +272,32 @@ def test_numpy_product_memory_grows_with_the_entries():
         tracemalloc.stop()
     assert peak < 6 * (n + star.data.size) * 8
     g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
-    product, x = _SparseProduct(g.csr), np.ones((g.n, 1))
+    product, x = _SparseProduct(csr_adjacency(g)), np.ones((g.n, 1))
     tracemalloc.start()
     try:
         out = product(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * g.csr.data.size * 8 + out.nbytes
+    assert peak <= 1.1 * product.data.size * 8 + out.nbytes
+
+
+def test_edge_operator_holds_its_product_layout_alone():
+    """After a first product, a fresh edge operator on a 3200-node planted
+    graph holds its product's layout, 16 bytes per stored entry, plus
+    O(n): no CSR of the adjacency is kept beside it, on the operator or
+    on the graph."""
+    g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
+    x = np.ones((g.n, 1))
+    tracemalloc.start()
+    try:
+        op = CovarianceOperator(g)
+        out = op @ x
+        held = tracemalloc.get_traced_memory()[0] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert op._adjacency.data.size == 2 * g.edge_count
+    assert held <= 20 * op._adjacency.data.size + 8 * g.n * 8
 
 
 def test_walk_operator_products_are_scipys():
@@ -287,7 +305,7 @@ def test_walk_operator_products_are_scipys():
     the same recurrence run through scipy's products gives the same bytes,
     for one vector and for several."""
     g, _ = planted_partition(4, 60, 0.2, 0.01, seed=3, ensure_connected=True)
-    op, c = CovarianceOperator(g, 3), g.csr
+    op, c = CovarianceOperator(g, 3), csr_adjacency(g)
     a = csr_matrix((c.data, c.indices, c.indptr), shape=(g.n, g.n))
     x = np.random.default_rng(5).standard_normal((g.n, 4))
     for block in (x, x[:, :1]):

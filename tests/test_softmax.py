@@ -430,3 +430,20 @@ def test_edge_objective_gathers_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2e6 < 2 * g.edge_count * 16 * 8 / 5
+
+
+def test_edge_form_holds_its_csr_alone():
+    """The edge form keeps one CSR of the adjacency, its data scaled in
+    place: on a fresh 3200-node planted graph it holds about 12 bytes per
+    entry (int32 indices, float64 data) plus O(n), not a second copy of
+    the data or a row index per entry beside a CSR cached on the graph."""
+    g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
+    tracemalloc.start()
+    try:
+        op = CovarianceOperator(g)
+        form = _form(op)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert form.b.data.size == 2 * g.edge_count
+    assert held <= 13 * form.b.data.size + 8 * g.n * 8
