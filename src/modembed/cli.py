@@ -41,7 +41,7 @@ from .sampling import (
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
-from .spectral import Embedding, eigenvalues, reconstruct, select_dimension
+from .spectral import EigenPairs, Embedding, eigenvalues, reconstruct, select_dimension
 from .spectral import top_k_eigen, top_spectrum
 
 
@@ -161,18 +161,19 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
 
 def _spectrum(
     args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray | None, int, EigenPairs | None]:
     """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
-    None), and k: a fixed ``--dim``, checked where the graph was read,
-    or the one auto picks. Auto without a sidecar, on the edge and walk
-    operators, reads ``top_spectrum``, which settles k from the top of
-    the spectrum where it can; every sidecar reads the dense
-    ``eigenvalues``."""
+    None); k, a fixed ``--dim`` (checked where the graph was read) or the
+    one auto picks; and the pairs of the rung that settled k (else None),
+    whose leading k are the embedding, so no rung is solved twice. Auto
+    without a sidecar, on the edge and walk operators, asks ``top_spectrum``;
+    when nothing settles, and for every sidecar, the dense ``eigenvalues`` do."""
     if args.dim is not None and not args.emit_spectrum:
-        return None, args.dim
+        return None, args.dim, None
     auto = not args.emit_spectrum and isinstance(q, CovarianceOperator)
-    values = top_spectrum(q) if auto else eigenvalues(q)
-    return values, args.dim or select_dimension(values)
+    top = top_spectrum(q) if auto else None
+    values = eigenvalues(q) if top is None else top.values
+    return values, args.dim or select_dimension(values), top
 
 
 # ===================================================================
@@ -227,8 +228,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     q = _covariance(args, g)
-    values, k = _spectrum(args, q)
-    _write_tsv(args.output, _embedding_rows(g.ids, top_k_eigen(q, k).vectors))
+    values, k, top = _spectrum(args, q)
+    h = top_k_eigen(q, k).vectors if top is None else top.vectors[:, :k]
+    _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
     if args.id_map:
@@ -286,7 +288,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dataset, _ = load_labels(args.labels, g)
     q = _covariance(args, g)
-    values, k = _spectrum(args, q)
+    values, k, top = _spectrum(args, q)
+    h = top_k_eigen(q, k).vectors if top is None else top.vectors[:, :k]
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,
@@ -294,7 +297,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         stratified=not args.unstratified,
     )
     result = softmax_classify(
-        Embedding(h=top_k_eigen(q, k).vectors),
+        Embedding(h=h),
         label_map,
         dataset.n_classes,
         seed=_stage_seed(args.seed, "softmax"),

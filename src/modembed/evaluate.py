@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import Graph, connected_components, merge_edges
+from .modularity import _check_indices
 from .spectral import _row_blocks, _uniforms
 
 
@@ -129,7 +130,7 @@ def micro_macro_f1(
     if truth.shape != predicted.shape:
         raise ValueError("truth and prediction vectors must have equal length")
     if holdout is not None:
-        holdout = np.asarray(holdout, dtype=int)
+        holdout = _check_indices(truth.size, holdout)
         if holdout.size == 0:
             raise ValueError("holdout is empty")
         truth = truth[holdout]

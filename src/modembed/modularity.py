@@ -285,7 +285,7 @@ def _check_indices(n: int, s: Sequence[int] | np.ndarray) -> np.ndarray:
         raise ValueError("node sets must be 1-d index collections")
     if s.size and (s.min() < 0 or s.max() >= n):
         raise ValueError(f"node index out of range 0..{n - 1}")
-    if np.unique(s).size != s.size:
+    if np.any(np.diff(np.sort(s)) == 0):  # not np.unique, whose first call loads numpy.ma
         raise ValueError("node sets must not contain duplicates")
     return s
 

@@ -93,9 +93,10 @@ def _form(q: Similarity, normalize: bool = False) -> _Form:
 
 
 def _off_diagonal_max(f: _Form) -> float:
-    """max |q(u, w)| over u != w with the bits of the dense entries: in
-    row blocks, or for the edge form over its edges and the largest
-    p_u p_w of a non-adjacent pair, scanning nodes by descending degree."""
+    """max |q(u, w)| over u != w: in row blocks, or for the edge form over
+    its edges and the largest p_u p_w of a non-adjacent pair, scanning nodes
+    by descending degree. The rank-k form's blocks H[b] @ H.T round by their
+    height, which n alone sets, and need not have the bits of H @ H.T."""
     n, a = f.diag.size, f.b
     if f.left is None or a is None:
         top = 0.0

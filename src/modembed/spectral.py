@@ -2,13 +2,14 @@
 
 The embedding of a graph is read off the top eigenvectors of its
 modularity matrix, its dimension off the spectrum (``eigenvalues``,
-no vectors). ``top_k_eigen`` picks one of two routes: a dense LAPACK
-decomposition, exact and faster for small matrices, or a thick-restart
-Lanczos iteration in numpy, which touches the matrix only through
-matrix-vector products, is faster for a few leading pairs of a large
-covariance (``krylov_pays`` says when) and also runs on the matrix-free
-covariance operator. Both meet the same residual contract, and neither
-imports scipy nor numpy.random.
+no vectors) or off the top pairs alone (``top_spectrum``), which are
+then the embedding too. ``top_k_eigen`` picks one of two routes: a
+dense LAPACK decomposition, exact and faster for small matrices, or a
+thick-restart Lanczos iteration in numpy, which touches the matrix
+only through matrix-vector products, is faster for a few leading pairs
+of a large covariance (``krylov_pays`` says when) and also runs on the
+matrix-free covariance operator. Both meet the same residual contract,
+and neither imports scipy nor numpy.random.
 """
 
 from __future__ import annotations
@@ -246,11 +247,11 @@ def krylov_pays(k: int, n: int) -> bool:
     """Whether the Lanczos route should beat the dense one for k of n pairs.
 
     ``top_k_eigen`` asks this of every covariance, for the k it is given,
-    and ``top_spectrum`` of every j it tries, one solve per j, so that
-    early stop never runs below 1440 nodes (j = 8). The rule,
-    144 (k + 2) <= n, errs towards the dense route: the iteration already
-    beats the dense solve at k = 64 of 3200 nodes, which the rule sends
-    to the dense route.
+    and ``top_spectrum`` of every j it tries (one solve per j, whose
+    settled pairs are the embedding), so that early stop never runs below
+    1440 nodes (j = 8). The rule, 144 (k + 2) <= n, errs towards the dense
+    route: the iteration already beats the dense solve at k = 64 of 3200
+    nodes, which the rule sends to the dense route.
     """
     return 144 * (k + 2) <= n
 
@@ -348,11 +349,11 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def top_spectrum(q: "Covariance") -> np.ndarray:
-    """The top of Q's spectrum, completed to n values, when that settles
-    ``select_dimension(values)``; otherwise ``eigenvalues(q)``.
+def top_spectrum(q: "Covariance") -> EigenPairs | None:
+    """Q's top j eigenpairs, when their values settle ``select_dimension``
+    and their leading k are the embedding; otherwise None.
 
-    The Lanczos iteration computes the top j = 8, 16, ... eigenvalues while
+    The Lanczos iteration computes the top j = 8, 16, ... pairs while
     ``krylov_pays(j, n)``. Q 1 = 0, so 0 is an exact eigenvalue of Q; let
     tau = n eps ||Q||_inf (``norm_bound``), which bounds select_dimension's
     floor n eps max|lambda| from above and allows for roundoff in the
@@ -362,27 +363,27 @@ def top_spectrum(q: "Covariance") -> np.ndarray:
     lambda_j + tau: the negative spectrum never enters. So once
     lambda_j > tau and the best gap among the top j is strictly larger
     than lambda_j + tau, no gap further down can tie it, and the top j
-    padded with -tau give the k the whole spectrum gives.
+    values, all above the floor, give the k the whole spectrum gives.
 
-    Exactly: the result equals ``select_dimension(eigenvalues(q))``
-    whenever the dense solver's copy of the zero eigenvalue lies in
-    [-tau, floor], the premise the floor already rests on, and the
-    converged Ritz values of the Lanczos iteration are the top j.
+    Exactly: that k equals ``select_dimension(eigenvalues(q))`` whenever
+    the dense solver's copy of the zero eigenvalue lies in [-tau, floor],
+    the premise the floor already rests on, and the converged Ritz values
+    of the Lanczos iteration are the top j.
 
-    The dense spectrum below 1440 nodes (``krylov_pays(8, n)`` fails),
-    when a solve does not converge, or when no j settles.
+    None below 1440 nodes (``krylov_pays(8, n)`` fails), when no j
+    settles, or when a solve gives up or misses ``top_k_eigen``'s contract.
     """
     n, j = q.n, 8
-    tau = n * np.finfo(float).eps * q.norm_bound
+    tau, bound = n * np.finfo(float).eps * q.norm_bound, _RESIDUAL_BOUND * max(1.0, q.norm_bound)
     try:
         while krylov_pays(j, n):
-            top = _lanczos(q, n, j)[0]
-            if top[-1] > tau and np.max(top[:-1] - top[1:]) > top[-1] + tau:
-                return np.concatenate([top, np.full(n - j, -tau)])
+            values, vectors = _lanczos(q, n, j)
+            if values[-1] > tau and np.max(values[:-1] - values[1:]) > values[-1] + tau:
+                return _within_contract(q, values, vectors, bound)
             j *= 2
-    except NumericalError:  # a solve did not converge: the dense spectrum decides
+    except NumericalError:  # a solve did not converge or missed the contract
         pass
-    return eigenvalues(q)
+    return None
 
 
 # ===================================================================

@@ -731,28 +731,35 @@ def _write_large_planted(tmp_path, blocks, size):
 
 
 @pytest.mark.parametrize(
-    ("graph", "flags", "expected"),
+    ("graph", "flags", "expected", "solves"),
     [
-        ("large", ["embed", "--dim", "2"], [(2, "lanczos")]),
-        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "lanczos")]),
-        ("large", ["classify", "--dim", "2"], [(2, "lanczos")]),
-        ("planted", ["embed", "--dim", "2"], [(2, "dense")]),
-        ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "dense")]),
-        ("barbell", ["embed", "--dim", "2"], [(2, "dense")]),
-        ("planted", ["embed", "--dim", "auto"], [(2, "dense")]),
-        ("planted", ["cluster", "--dim", "3"], []),
+        ("large", ["embed", "--dim", "2"], [(2, "lanczos")], [2]),
+        ("large", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "lanczos")], [2]),
+        ("large", ["classify", "--dim", "2"], [(2, "lanczos")], [2]),
+        ("planted", ["embed", "--dim", "2"], [(2, "dense")], []),
+        ("planted", ["embed", "--dim", "2", "--emit-spectrum"], [(2, "dense")], []),
+        ("barbell", ["embed", "--dim", "2"], [(2, "dense")], []),
+        ("planted", ["embed", "--dim", "auto"], [(2, "dense")], []),
+        ("planted", ["cluster", "--dim", "3"], [], []),
+        ("settled", ["embed", "--dim", "auto", "--sampler", "walk:3"], [], [8]),
+        ("settled", ["classify", "--dim", "auto", "--sampler", "walk:3"], [], [8]),
     ],
     ids=[
         "fixed", "fixed-sidecar", "classify-fixed", "small-n", "small-n-sidecar",
-        "barbell", "auto", "cluster",
+        "barbell", "auto", "cluster", "settled-auto", "classify-settled-auto",
     ],
 )
-def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, expected):
+def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, expected,
+                             solves):
     """The K embedded at, fixed or picked by auto, gets one solve for K
     pairs, on the Krylov route when krylov_pays(K, n) and densely
-    otherwise; spectra need no eigenpairs at all."""
+    otherwise; spectra need no eigenpairs at all. An auto K that
+    top_spectrum settles, here at j = 8 on 1440 nodes, is embedded from
+    that rung's pairs: one Lanczos solve in all, and no top_k_eigen."""
     if graph == "large":
         _, graph_path, label_path = _write_large_planted(tmp_path, 3, 200)
+    elif graph == "settled":
+        _, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
     elif graph == "planted":
         graph_path, label_path = _write_planted(tmp_path)
     else:
@@ -761,9 +768,12 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
     argv = [command, graph_path] + ([label_path] if command == "classify" else []) + rest
     if rest[-1] == "--emit-spectrum":
         argv.append(str(tmp_path / "spec.tsv"))
-    calls = _record_eigen_calls(monkeypatch)
+    calls, iterated, iterate = _record_eigen_calls(monkeypatch), [], spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos",
+                        lambda m, n, k: iterated.append(k) or iterate(m, n, k))
     assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
     assert [call[1:] for call in calls] == expected
+    assert iterated == solves
 
 
 @pytest.mark.parametrize(
@@ -1103,8 +1113,9 @@ def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
 )
 def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):
     """classify --dim auto on 1440 nodes settles k from the top of the
-    spectrum: the operator never caches a dense Q, and the report is
-    byte for byte the one the dense spectrum gives."""
+    spectrum and embeds that solve's pairs: the operator never caches a
+    dense Q, and the report is byte for byte the one that the dense
+    spectrum and a top_k_eigen solve for k give when nothing settles."""
     g, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
     operators = []
     build = cli._covariance
@@ -1118,7 +1129,7 @@ def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):
     fast, dense = tmp_path / "fast.tsv", tmp_path / "dense.tsv"
     assert main(argv + ["--output", str(fast)]) == 0
     assert "q" not in vars(operators[0])
-    monkeypatch.setattr(cli, "top_spectrum", cli.eigenvalues)
+    monkeypatch.setattr(cli, "top_spectrum", lambda q: None)
     assert main(argv + ["--output", str(dense)]) == 0
     assert "q" in vars(operators[1])
     assert fast.read_bytes() == dense.read_bytes()

@@ -195,6 +195,22 @@ def test_f1_errors():
         micro_macro_f1(np.array([0, 1, -1]), np.array([0, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    ("holdout", "match"),
+    [([-1], "out of range"), ([9], "out of range"), ([3, 3, 3], "duplicates"),
+     ([[0, 1]], "1-d")],
+    ids=["negative", "past-the-end", "repeated", "2-d"],
+)
+def test_f1_rejects_bad_holdout_indices(holdout, match):
+    """A holdout is a set of node indices: a negative index does not
+    wrap around to the last node, one past the end is a ValueError
+    rather than an IndexError, and a repeated node is not counted
+    twice."""
+    truth, pred = np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0])
+    with pytest.raises(ValueError, match=match):
+        micro_macro_f1(truth, pred, holdout)
+
+
 def test_planted_cliques_when_p_out_zero():
     g, dataset = planted_partition(3, 5, 1.0, 0.0, seed=0)
     assert g.edge_count == 3 * 10

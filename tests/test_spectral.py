@@ -1,7 +1,6 @@
 """Eigendecomposition routes, gap rule, embeddings, and both objectives."""
 
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from modembed import (
     load_edge_list,
     modularity_matrix,
     planted_partition,
+    random_walk_sampling,
     reconstruct,
     resistance_distance,
     select_dimension,
@@ -574,23 +574,32 @@ def planted_1440():
 )
 def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
     """On edge and walk covariances the best gap among the top 8 values
-    beats lambda_8 + n eps ||Q||, and the padded values pick the dense k."""
+    beats lambda_8 + n eps ||Q||, and those 8 values alone pick the dense
+    k. Against the dense oracle, top_k_eigen of the sampled graph's Q,
+    the leading k pairs meet the residual contract and span its subspace:
+    every principal cosine is at least 1 - 1e-8."""
     g = planted_1440
     q = CovarianceOperator(g) if length is None else CovarianceOperator(g, length, exact_length=exact)
-    values = spectral.top_spectrum(q)
+    top = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
-    assert values.shape == (g.n,)
-    assert select_dimension(values) == select_dimension(eigenvalues(q))
-
-
-_DENSE = np.array([np.nan])  # what _stub_dense_spectrum's eigenvalues returns
+    k = select_dimension(top.values)
+    assert top.values.shape == (8,) and k == select_dimension(eigenvalues(q))
+    sampled = (edge_sampling(g) if length is None
+               else random_walk_sampling(g, length, exact_length=exact))
+    dense = modularity_matrix(sampled).q
+    oracle = top_k_eigen(dense, k)
+    values, vectors = top.values[:k], top.vectors[:, :k]
+    bound = 1e-8 * max(1.0, np.abs(dense).sum(axis=1).max())
+    assert np.linalg.norm(dense @ vectors - vectors * values, axis=0).max() <= bound
+    np.testing.assert_allclose(values, oracle.values, rtol=0, atol=bound)
+    assert np.linalg.svd(vectors.T @ oracle.vectors, compute_uv=False).min() >= 1 - 1e-8
 
 
 def _stub_dense_spectrum(monkeypatch):
-    """Replace spectral.eigenvalues with a stub that returns _DENSE, and
-    return the list of the arguments it was called with."""
+    """Replace spectral.eigenvalues with a stub that records each argument,
+    and return that list: top_spectrum must leave it empty."""
     reads = []
-    monkeypatch.setattr(spectral, "eigenvalues", lambda q: reads.append(q) or _DENSE)
+    monkeypatch.setattr(spectral, "eigenvalues", reads.append)
     return reads
 
 
@@ -598,7 +607,7 @@ def _stub_dense_spectrum(monkeypatch):
 def test_top_spectrum_gives_up(case, monkeypatch):
     """A cycle has no community gap: its best gap among the top 8 stays
     below lambda_8, and n = 1500 allows no j = 16. Below 1440 nodes no
-    j = 8 pays. Each reads the dense spectrum."""
+    j = 8 pays. Each returns None and reads no dense spectrum."""
     if case == "small":
         small, _ = planted_partition(8, 179, 0.1, 0.002, seed=0, ensure_connected=True)
         q = CovarianceOperator(small, 3)
@@ -606,7 +615,7 @@ def test_top_spectrum_gives_up(case, monkeypatch):
         g = Graph.from_edges([(i, (i + 1) % 1500, 1.0) for i in range(1500)])
         q = CovarianceOperator(g) if case == "cycle-edge" else CovarianceOperator(g, 3)
     reads = _stub_dense_spectrum(monkeypatch)
-    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
+    assert spectral.top_spectrum(q) is None and reads == [] and "q" not in vars(q)
 
 
 def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
@@ -622,7 +631,8 @@ def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
 class _PlantedSpectrum:
     """Q = H diag(values) H for the Householder reflection H swapping e_1
     and 1/sqrt(n), so values[0] must be 0 and Q 1 = 0; its norm bound is
-    max|values|."""
+    max|values|. Q's product takes a vector or a block of columns, and
+    the eigenvector of values[i] is column i of H."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
@@ -633,10 +643,14 @@ class _PlantedSpectrum:
         self.u /= np.linalg.norm(self.u)
 
     def _reflect(self, x):
-        return x - 2.0 * self.u * (self.u @ x)
+        return x - 2.0 * np.multiply.outer(self.u, self.u @ x)
 
     def __matmul__(self, x):
-        return self._reflect(self.values * self._reflect(x))
+        return self._reflect((self.values * self._reflect(x).T).T)
+
+    def vectors(self, columns):
+        """The eigenvectors of values[columns], as columns."""
+        return self._reflect(np.eye(self.n)[:, columns])
 
 
 def _planted_top(lambda_8, lambda_min):
@@ -646,25 +660,35 @@ def _planted_top(lambda_8, lambda_min):
     bulk = np.linspace(0.3, -0.02, 1440 - 10)
     q = _PlantedSpectrum(np.concatenate([[0.0], top, bulk, [lambda_min]]))
     assert np.abs(q @ np.ones(q.n)).max() <= 1e-14
+    block = q @ q.vectors(slice(1, 9))
+    assert np.abs(block - q.vectors(slice(1, 9)) * top).max() <= 1e-14
     return q, top
+
+
+def _check_planted_pairs(q, pairs, top):
+    """The pairs are the planted top 8: values within 1e-12, and vectors
+    whose principal cosines with the planted ones are at least 1 - 1e-8."""
+    np.testing.assert_allclose(pairs.values, top, rtol=0, atol=1e-12)
+    cosines = np.linalg.svd(pairs.vectors.T @ q.vectors(slice(1, 9)), compute_uv=False)
+    assert cosines.min() >= 1 - 1e-8
 
 
 @pytest.mark.parametrize("margin", [1e-6, -1e-6])
 def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin, monkeypatch):
     """The best top gap, 0.46, is at k = 3. With lambda_8 = 0.46 - tau -
     margin, tau = n eps ||Q||, the gap beats lambda_8 + tau for a positive
-    margin only; otherwise the dense spectrum is read."""
+    margin only; otherwise nothing settles. Neither reads the dense
+    spectrum."""
     tau = 1440 * np.finfo(float).eps * 1.0
     q, top = _planted_top(0.46 - tau - margin, -0.04)
     reads = _stub_dense_spectrum(monkeypatch)
-    values = spectral.top_spectrum(q)
-    if margin < 0:
-        assert values is _DENSE and reads == [q]
-        return
+    pairs = spectral.top_spectrum(q)
     assert reads == []
-    np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
-    assert np.all(values[8:] == -tau)
-    assert select_dimension(values) == 3
+    if margin < 0:
+        assert pairs is None
+        return
+    _check_planted_pairs(q, pairs, top)
+    assert select_dimension(pairs.values) == 3
 
 
 def test_top_spectrum_ignores_the_negative_spectrum():
@@ -672,35 +696,35 @@ def test_top_spectrum_ignores_the_negative_spectrum():
     above it, which a lower bound on lambda_min could not settle; the
     zero eigenvalue does, with the dense k."""
     q, top = _planted_top(0.42, -5.0)
-    values = spectral.top_spectrum(q)
-    np.testing.assert_allclose(values[:8], top, rtol=0, atol=1e-12)
-    assert np.all(values[8:] == -q.n * np.finfo(float).eps * 5.0)
-    assert select_dimension(values) == select_dimension(np.sort(q.values)[::-1]) == 3
+    pairs = spectral.top_spectrum(q)
+    _check_planted_pairs(q, pairs, top)
+    assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 3
 
 
 def test_top_spectrum_needs_lambda_j_above_the_allowance(monkeypatch):
     """With five positive values the top 8 reach the zero eigenvalue and
-    the negative bulk, so lambda_8 <= tau: padding with -tau would not
-    even be sorted, and n = 1440 allows no j = 16. The dense spectrum
-    is read."""
+    the negative bulk, so lambda_8 <= tau, and n = 1440 allows no j = 16.
+    Nothing settles, and no dense spectrum is read."""
     top = [1.0, 0.98, 0.96, 0.5, 0.49]
     q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(-0.001, -0.3, 1440 - 6)]))
     reads = _stub_dense_spectrum(monkeypatch)
-    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
+    assert spectral.top_spectrum(q) is None and reads == []
 
 
 def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
     """Dyadic values and tau = n eps ||Q|| on n = 2048, so every
     comparison is exact: gaps of 2 at k = 1 and k = 4 tie and k = 1 wins;
     a tau that makes lambda_8 + tau equal to the best gap settles
-    nothing, since a later gap could tie it, and reads the dense
-    spectrum."""
+    nothing, since a later gap could tie it. The stubbed solve returns
+    the planted pairs, which pass the residual contract unchanged."""
     top = np.array([6.0, 4.0, 3.75, 3.5, 1.5, 1.375, 1.25, 1.125])
-    monkeypatch.setattr(spectral, "_lanczos", lambda *args, **kwargs: (top, None))
+    q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(1.0, -1.0, 2048 - 9)]))
+    monkeypatch.setattr(spectral, "_lanczos", lambda *args: (top, q.vectors(slice(1, 9))))
     unit = 2048 * np.finfo(float).eps  # tau per unit of norm_bound, 2**-41
-    padded = spectral.top_spectrum(SimpleNamespace(n=2048, norm_bound=0.75 / unit))
-    assert padded.shape == (2048,) and np.all(padded[8:] == -0.75)
-    assert select_dimension(padded) == 1
+    q.norm_bound = 0.75 / unit  # a loose bound on ||Q||_inf is still a bound
+    pairs = spectral.top_spectrum(q)
+    assert pairs.values.tobytes() == top.tobytes()
+    assert select_dimension(pairs.values) == 1
     reads = _stub_dense_spectrum(monkeypatch)
-    q = SimpleNamespace(n=2048, norm_bound=0.875 / unit)
-    assert spectral.top_spectrum(q) is _DENSE and reads == [q]
+    q.norm_bound = 0.875 / unit
+    assert spectral.top_spectrum(q) is None and reads == []
