@@ -6,9 +6,10 @@ the spectral side, ``cluster`` and ``classify`` the softmax side,
 ``eval`` scores label files against each other. Commands that sample
 the graph name the sampler in one ``--sampler`` value: ``edge``,
 ``walk:L`` (lengths 1..L mixed), ``walk:L:exact``, ``expdist`` or
-``expdist:THETA``. Only ``cluster`` and ``classify`` draw random
-numbers, all from their ``--seed`` flag: each stage seeds a stdlib
-``random.Random`` from it and a fixed tag, so no command loads
+``expdist:THETA``. Only ``cluster`` and ``classify`` take a seed,
+``--seed``: each stage seeds a stdlib ``random.Random`` from it and a
+fixed tag. The eigensolver and the L+ check draw from fixed seeds, and
+every draw goes through ``random()``, so no command loads
 ``numpy.random``, and any command run twice under the same BLAS thread
 setting writes identical bytes.
 

@@ -124,12 +124,15 @@ class CovarianceOperator:
 
     def _apply(self, a_x: np.ndarray, pu_x: np.ndarray, product=None) -> np.ndarray:
         """QX from AX and p_u^T X, with ``product`` (default ``_adjacency``)
-        for the walk steps; overwrites ``a_x`` when L = 1."""
-        g = self.graph
+        for the walk steps; overwrites ``a_x``. Each step is scaled and
+        summed in place, but the mixture scales a copy of its first term AX:
+        at most three arrays of X's shape are alive at once, ``a_x`` one."""
+        g, d = self.graph, self.graph.degrees[:, None]
         step = total = a_x
         for _ in range(self.length - 1):
-            step = (product or self._adjacency)(step / g.degrees[:, None])
-            total = step if self.exact_length else total + step
+            keep = step is total and not self.exact_length  # the mixture's first term
+            step = (product or self._adjacency)(step / d if keep else np.divide(step, d, out=step))
+            total = step if self.exact_length else np.add(total, step, out=total)
         total /= (1 if self.exact_length else self.length) * g.total_weight
         for b in _row_blocks(self.n, pu_x.size):  # no n x n temporary
             total[b] -= np.outer(self.p_u[b], pu_x)

@@ -20,17 +20,17 @@ import numpy as np
 
 from .errors import FormatError, NumericalError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _check_symmetric, _fix_signs, _gaussians, _row_blocks
-from .spectral import _symmetrize, top_k_eigen
+from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks
+from .spectral import _symmetrize, _uniforms, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
 # n * eps * max|gamma|, the roundoff of summing n entries of that size.
 _ROWSUM_ULPS = 16
 # L+ must map a centred probe v back to itself, |L L+ v - v| <= this times |v|.
-# Weights alternating w and 1/w along a 400-node path give 2e-6 at w = 1e3,
-# 2e-4 at 1e4 and 2e-2 at 1e5 (0.6% off in the end-to-end resistance);
-# unit paths of up to 3000 nodes give at most 4e-9.
+# Weights alternating w and 1/w along a 400-node path give 5e-7 at w = 1e3,
+# 5e-5 at 1e4 and 4e-3 at 1e5 (0.6% off in the end-to-end resistance);
+# unit paths of up to 3000 nodes give at most 3e-9.
 _PINV_TOL = 1e-3
 
 
@@ -180,11 +180,11 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     The inverse is Y^T Y, Y the inverse Cholesky factor of L + sJ/n,
     formed in that matrix's own buffer. Subtracting J/(sn) is the double
     centering (I - J/n) X (I - J/n) of X = (L + sJ/n)^-1, whose row means
-    are exactly 1/(sn); centering the symmetrized X by its computed row
-    means instead leaves row sums at summation roundoff, however
-    ill-conditioned L is. NumericalError is raised when the shifted
-    Laplacian does not factor, or when L+ fails its identity L L+ v = v
-    on a fixed-seed centred probe v by more than 1e-3 |v|.
+    are exactly 1/(sn); centering X by its computed row means instead
+    leaves row sums at summation roundoff, however ill-conditioned L is.
+    NumericalError is raised when the shifted Laplacian does not factor,
+    or when L+ fails its identity L L+ v = v by more than 1e-3 |v| on the
+    probe v = ``_uniforms(0x5EED, n)``, centred.
     """
     if g.n == 0:
         raise ValueError("empty graph has no Laplacian pseudo-inverse")
@@ -199,7 +199,7 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
         raise NumericalError(
             "Laplacian pseudo-inverse failed: shifted Laplacian is not numerically positive definite"
         ) from None
-    x = _symmetrize(y.T @ y)
+    x = y.T @ y  # numpy mirrors one triangle of this Gram product, so x is exactly symmetric
     del lap, y  # x, the only n x n array from here on, is centred in place
     r = x.mean(axis=1)
     # r_u + r_w adds in either order to the same bits, so x stays symmetric.
@@ -208,7 +208,7 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     x += r.mean()
     # An ill-conditioned L can leave x far from L+ with every block factored: probe
     # L x v = v, with L y = D y - A y from the edge arrays.
-    v = next(_gaussians(g.n))
+    v = _uniforms(0x5EED, g.n)
     v -= v.mean()
     y = x @ v
     u, w = g.edges.T

@@ -213,9 +213,10 @@ def _run_sweeps(
     converged = False
     sweeps = 0
     for _ in range(max_sweeps):
+        moved = bool(np.any((h > 0).sum(axis=1) > 1))  # a sweep with no live row changes no h
         softmax_sweep(q, h, theta)
         sweeps += 1
-        obj = softmax_objective(q, h)
+        obj = softmax_objective(q, h) if moved else history[-1]
         history.append(obj)
         if obj - history[-2] < tol * max(1.0, abs(obj)):
             converged = True

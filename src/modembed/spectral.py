@@ -17,8 +17,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from itertools import repeat, starmap
-from typing import TYPE_CHECKING, Iterator, Sequence
+from itertools import count, repeat, starmap
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -163,22 +163,15 @@ def _orthogonalize(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return h + c
 
 
-def _gaussians(n: int) -> Iterator[np.ndarray]:
-    """Vectors of n standard normal draws, all from one stdlib generator
-    seeded 0x5EED, so reruns give the same bytes. Not numpy.random, whose
-    import adds about 6 MB to a process that draws nothing else."""
-    rnd = random.Random(0x5EED)
-    while True:
-        yield np.array([rnd.gauss(0.0, 1.0) for _ in range(n)])
-
-
 def _uniforms(seed: int, n: int) -> np.ndarray:
     """n uniform draws on [0, 1) from a stdlib generator seeded ``seed``,
     taken through ``random()`` alone, whose sequence Python keeps across
-    releases. Like ``_gaussians``, it leaves numpy.random unloaded. A
-    negative seed is a ValueError and a non-integer one a TypeError:
-    ``random.Random`` would seed stream s from -s, and take floats and
-    strings."""
+    releases. Every seeded draw of the library's commands comes from here:
+    the Lanczos start vectors, the L+ probe, the softmax start and the
+    train/test split. Not numpy.random, whose import adds about 6 MB to a
+    process that draws nothing else. A negative seed is a ValueError and a
+    non-integer one a TypeError: ``random.Random`` would seed stream s from
+    -s, and take floats and strings."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
@@ -201,11 +194,12 @@ def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, 
     Gram-Schmidt coefficient puts roundoff into the residual estimates,
     which then hover at the stopping bound. It stops when every wanted
     pair's residual |beta s_i| is at most eps max|theta|, and raises
-    NumericalError after ``_MAX_RESTARTS`` restarts. The start vector,
-    and a fresh vector whenever the Krylov space closes on an invariant
-    subspace, are the successive draws of ``_gaussians``.
+    NumericalError after ``_MAX_RESTARTS`` restarts. The start vector is
+    2u - 1 for u = ``_uniforms(0x5EED, n)``, and the i-th fresh vector,
+    drawn whenever the Krylov space closes on an invariant subspace, is
+    the same from seed 0x5EED + i.
     """
-    draws, eps = _gaussians(n), np.finfo(float).eps
+    draws, eps = (2.0 * _uniforms(0x5EED + i, n) - 1.0 for i in count()), np.finfo(float).eps
     ncv = min(n, max(2 * k + 1, 20))
     keep = k + (ncv - k) // 2
     basis, t = np.empty((ncv + 1, n)), np.zeros((ncv, ncv))

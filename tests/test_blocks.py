@@ -209,6 +209,24 @@ def test_inverse_cholesky_agrees_with_lapack_inv(build):
     assert np.abs(y.T @ y - x).max() <= 1e-13 * np.abs(x).max()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edges([(i, i + 1, 1.0) for i in range(299)]),
+    lambda: Graph.from_edges([(i, (i + 1) % 300, 1.0) for i in range(300)]),
+    lambda: planted_partition(3, 100, 0.1, 0.01, seed=0, ensure_connected=True)[0],
+], ids=["path300", "cycle300", "planted300"])
+def test_pseudo_inverse_gram_product_is_exactly_symmetric(build):
+    """numpy forms Y^T Y from one triangle and mirrors it, so L+ needs no
+    symmetrizing pass, and its centering keeps it exactly symmetric."""
+    g = build()
+    lap = laplacian(g)
+    lap += float(np.trace(lap)) / g.n / g.n
+    y = _inverse_cholesky(lap)
+    x = y.T @ y
+    assert np.array_equal(x, x.T)
+    gamma = laplacian_pinv(g).gamma
+    assert np.array_equal(gamma, gamma.T)
+
+
 def test_tree_edge_resistance_is_the_inverse_weight():
     """On a tree each edge is the only path between its ends, so its
     resistance is 1/w exactly, with weights over four decades."""
@@ -276,3 +294,14 @@ def test_walk_q_is_symmetrized_in_place_to_the_same_bits(exact):
     walks = op._apply(a, op.p_u)
     assert np.abs(walks - walks.T).max() > 0  # there is roundoff to average away
     assert op.q.tobytes() == (0.5 * (walks + walks.T)).tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["mixture", "exact"])
+def test_walk_q_holds_at_most_three_arrays(exact):
+    """Each walk step of the dense q is scaled by the degrees and added
+    into the sum in place: A, the step and its product are the most held
+    at once, for the mixture and the exact form alike."""
+    pytest.importorskip("scipy.sparse")  # imported by q, outside the measurement
+    g, _ = planted_partition(4, 150, 0.1, 0.01, seed=0, ensure_connected=True)
+    op = CovarianceOperator(g, 3, exact_length=exact)
+    assert _peak(lambda: op.q) <= 3.2

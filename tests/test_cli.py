@@ -1,6 +1,7 @@
 """Command-line pipeline: outputs, exit codes, determinism."""
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -948,6 +949,25 @@ def test_seeded_streams_are_pinned():
     dataset, _ = load_labels(DATA / "karate_factions.txt", g)
     label_map, _ = train_test_split(dataset, 0.1, seed=seeds["split"])
     assert sorted(label_map) == [6, 15, 27, 33]
+
+
+def test_no_command_draws_gaussians(tmp_path, monkeypatch):
+    """Every seeded draw comes from random(), the one stdlib method whose
+    sequence Python keeps across releases: with gauss made to raise, the
+    Lanczos route of embed, the settled top spectrum of classify and the
+    L+ probe of expdist still run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("random.Random.gauss was called")
+
+    monkeypatch.setattr(random.Random, "gauss", refuse)
+    solves, iterate = [], spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda m, n, k: solves.append(k) or iterate(m, n, k))
+    _, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
+    for argv in (["embed", graph_path, "--dim", "8"],
+                 ["classify", graph_path, label_path, "--sampler", "walk:3", "--dim", "auto"],
+                 ["spectrum", graph_path, "--sampler", "expdist"]):
+        assert main(argv + ["--output", os.devnull]) == 0, argv
+    assert solves == [8, 8]  # embed's solve and the rung that settles classify's k
 
 
 def test_eigenmap_writes_no_negative_zero(tmp_path, barbell_file):

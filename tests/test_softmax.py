@@ -224,6 +224,33 @@ def test_cluster_history_monotone_and_converged():
     assert gains.min() >= -1e-12
 
 
+@pytest.mark.parametrize("form", ["dense", "edge"])
+def test_sweeps_that_move_no_row_reuse_the_objective(monkeypatch, form):
+    """At theta = 1e6 every row is one-hot after two sweeps, and the six
+    sweeps after them re-weight no row: the objective is evaluated 3
+    times, not 9, and the history has the bytes of evaluating it after
+    every sweep. tol = 0 runs on through the zero gains; a tol above 0
+    stops at the first of them, as it did when the objective was evaluated."""
+    g, _ = planted_partition(4, 50, 0.3, 0.01, seed=0, ensure_connected=True)
+    op = CovarianceOperator(g)
+    q = {"dense": op.q, "edge": op}[form]
+    evaluations, objective = [], softmax.softmax_objective
+    monkeypatch.setattr(softmax, "softmax_objective",
+                        lambda *args: evaluations.append(1) or objective(*args))
+    res = softmax_cluster(q, 4, theta=1e6, max_sweeps=8, tol=0)
+    assert (res.sweeps, res.converged, len(evaluations)) == (8, False, 3)
+    f, h = _form(q), softmax._perturbed_uniform(g.n, 4, 0)
+    history = [objective(f, h)]
+    for _ in range(8):
+        softmax_sweep(f, h, 1e6)
+        history.append(objective(f, h))
+    assert res.history.tobytes() == np.array(history).tobytes()
+    assert res.h.tobytes() == h.tobytes()
+    stopped = softmax_cluster(q, 4, theta=1e6, max_sweeps=8, tol=1e-12)
+    assert (stopped.sweeps, stopped.converged) == (3, True)
+    assert stopped.history.tobytes() == res.history[:4].tobytes()
+
+
 def test_cluster_max_sweeps_exhaustion_is_flagged():
     res = softmax_cluster(_barbell_q0(), 2, seed=3, max_sweeps=0)
     assert not res.converged
