@@ -42,10 +42,10 @@ class SampledGraph:
             raise ValueError("p must be non-empty")
         if not p.min() >= 0:
             raise ValueError("probabilities must be finite and nonnegative")
-        if not abs(p.sum() - 1.0) <= _MASS_TOL:
-            raise ValueError(f"total mass {p.sum()!r} is not 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", p.sum(axis=1))
+        if not abs(self.p_u.sum() - 1.0) <= _MASS_TOL:
+            raise ValueError(f"total mass {self.p_u.sum()!r} is not 1")
 
     @property
     def n(self) -> int:
@@ -112,7 +112,7 @@ def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledG
 
     ``theta`` defaults to -1e-3 divided by the largest dissimilarity,
     a gentle decay that keeps every pair in play. Exponents beyond the
-    double-precision range are rejected.
+    double-precision range are rejected. Elementwise, p is exactly as symmetric as d.
     """
     m = d.d
     if m.size == 0:
@@ -128,4 +128,4 @@ def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledG
     w = np.multiply(theta, m)  # the one n x n array: exp and normalize in place
     np.exp(w, out=w)
     w /= w.sum()
-    return SampledGraph(_symmetrize(w))
+    return SampledGraph(w)

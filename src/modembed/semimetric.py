@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import FormatError, NumericalError
 from .graph import Graph, is_connected, laplacian
-from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks
-from .spectral import _symmetrize, _uniforms, top_k_eigen
+from .spectral import Embedding, _check_symmetric, _fix_signs, _row_blocks, _uniforms, top_k_eigen
 
 _AXIOM_TOL = 1e-12
 # Row sums of a cohesion matrix vanish to within this many times
@@ -111,19 +110,20 @@ class DataMatrix:
 def induce_cohesion(d: SemiMetric | np.ndarray) -> CohesionMatrix:
     """Double-center a semi-metric into its cohesion matrix.
 
-    gamma(u, w) = rowmean_u + colmean_w - grandmean - d(u, w), which is
-    the negated double centering -JdJ.
+    gamma(u, w) = rowmean_u + rowmean_w - grandmean - d(u, w), the negated
+    double centering -JdJ: as symmetric as d, with rows summing to zero.
     """
     if not isinstance(d, SemiMetric):
         d = SemiMetric(np.asarray(d, dtype=float))
     m = d.d
     row = m.mean(axis=1)
     grand = float(m.mean())
-    return CohesionMatrix(_symmetrize(row[:, None] + row[None, :] - grand - m))
+    return CohesionMatrix(row[:, None] + row[None, :] - grand - m)
 
 
 def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
-    """Recover the semi-metric d(u, w) = (g(u,u) + g(w,w)) / 2 - g(u, w), in row blocks."""
+    """Recover the semi-metric d(u, w) = (g(u,u) + g(w,w)) / 2 - g(u, w), in row
+    blocks; d is as symmetric as g, and d(u, u) = 0.5 * (x + x) - x is exactly +0.0."""
     if not isinstance(gamma, CohesionMatrix):
         gamma = CohesionMatrix(np.asarray(gamma, dtype=float))
     g = gamma.gamma
@@ -133,8 +133,7 @@ def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
         r = np.add(diag[b, None], diag[None, :], out=d[b])
         r *= 0.5
         np.maximum(np.subtract(r, g[b], out=r), 0.0, out=r)
-    np.fill_diagonal(d, 0.0)
-    return SemiMetric(_symmetrize(d))
+    return SemiMetric(d)
 
 
 # ===================================================================
@@ -262,16 +261,16 @@ def half_sq_euclidean(x: DataMatrix | np.ndarray) -> SemiMetric:
     row block at a time; adding -2 x_u . x_w rounds as subtracting it does."""
     if not isinstance(x, DataMatrix):
         x = DataMatrix(np.asarray(x, dtype=float))
-    pts = x.x
+    pts = x.x if x.x.flags.forc else x.x.copy()  # C or Fortran order, for the mirroring below
     sq = (pts * pts).sum(axis=1)
-    d = pts @ pts.T  # the only n x n array
+    d = pts @ pts.T  # the only n x n array; numpy mirrors one triangle, so it is exactly symmetric
     for b in _row_blocks(*d.shape):
         d[b] *= -2.0
         d[b] += sq[b, None] + sq[None, :]
         d[b] *= 0.5
     np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
-    return SemiMetric(_symmetrize(d))
+    return SemiMetric(d)
 
 
 def pca_embedding(

@@ -118,8 +118,9 @@ def _row_blocks(n: int, width: int) -> list[slice]:
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """Overwrite square m with (m + m^T) / 2, one triangle block at a time,
-    and return it; addition commutes, so the bits are ``0.5 * (m + m.T)``'s."""
+    """Overwrite square m with (m + m^T) / 2, one triangle block at a time, and return it;
+    addition commutes, so the bits are ``0.5 * (m + m.T)``'s. Called only where walk products
+    round asymmetrically: ``random_walk_sampling`` and the walk ``CovarianceOperator.q``."""
     for b in _row_blocks(*m.shape):
         t = m[b.start:, b].T.copy()  # copies, unlike ufuncs, take no iterator buffers
         t += m[b, b.start:]

@@ -24,6 +24,7 @@ from modembed import (
     SemiMetric,
     exp_distance_sampling,
     half_sq_euclidean,
+    induce_cohesion,
     induce_metric,
     laplacian,
     laplacian_pinv,
@@ -216,15 +217,36 @@ def test_inverse_cholesky_agrees_with_lapack_inv(build):
 ], ids=["path300", "cycle300", "planted300"])
 def test_pseudo_inverse_gram_product_is_exactly_symmetric(build):
     """numpy forms Y^T Y from one triangle and mirrors it, so L+ needs no
-    symmetrizing pass, and its centering keeps it exactly symmetric."""
+    symmetrizing pass, and its centering keeps it exactly symmetric. So
+    does the arithmetic of each later stage of the distance chain, and
+    the induced diagonal, 0.5 * (x + x) - x, is exactly +0.0."""
     g = build()
     lap = laplacian(g)
     lap += float(np.trace(lap)) / g.n / g.n
     y = _inverse_cholesky(lap)
     x = y.T @ y
     assert np.array_equal(x, x.T)
-    gamma = laplacian_pinv(g).gamma
-    assert np.array_equal(gamma, gamma.T)
+    gamma = laplacian_pinv(g)
+    _assert_exactly_symmetric(gamma.gamma)
+    d = induce_metric(gamma)
+    assert np.diag(d.d).tobytes() == np.zeros(g.n).tobytes()
+    for m in (d.d, exp_distance_sampling(d).p, induce_cohesion(d).gamma):
+        _assert_exactly_symmetric(m)
+
+
+def _assert_exactly_symmetric(m):
+    """m is its own transpose, so a symmetrizing pass would keep its bits."""
+    assert np.array_equal(m, m.T)
+    assert m.tobytes() == _symmetrize(m.copy()).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_half_sq_euclidean_is_exactly_symmetric(layout):
+    """numpy forms the Gram product from one triangle, for data in C or
+    Fortran order and for a strided view, which is copied to C order."""
+    x = np.random.default_rng(0).standard_normal((_N, 32))
+    x = {"C": x, "F": np.asfortranarray(x), "strided": x[:, ::2]}[layout]
+    _assert_exactly_symmetric(half_sq_euclidean(x).d)
 
 
 def test_tree_edge_resistance_is_the_inverse_weight():

@@ -103,6 +103,19 @@ def test_duality_round_trip():
         np.testing.assert_allclose(back, d, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cohesion_of_a_nearly_symmetric_semimetric_keeps_zero_row_sums(seed):
+    """A semi-metric may miss symmetry by up to 1e-12. Centred by its own
+    row means, its cohesion's rows still sum to zero at roundoff, so upper
+    noise of 1e-13 on 200 nodes passes both gates and comes back whole."""
+    rng = np.random.default_rng(seed)
+    d = random_semimetric(rng, 200)
+    d += np.triu(rng.uniform(-1e-13, 1e-13, d.shape), 1)
+    gamma = induce_cohesion(SemiMetric(d))
+    assert isinstance(gamma, CohesionMatrix)
+    np.testing.assert_allclose(induce_metric(gamma).d, d, rtol=0, atol=1e-12)
+
+
 def test_cohesion_need_not_be_positive_semidefinite():
     """A valid semi-metric can induce a cohesion matrix with a clearly
     negative eigenvalue, so cohesion is weaker than a Gram matrix."""
