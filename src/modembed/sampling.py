@@ -110,9 +110,9 @@ def check_walkable(g: Graph, length: int) -> None:
 def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledGraph:
     """Boltzmann weighting of a semi-metric: p(u, w) = exp(theta d(u, w)) / Z.
 
-    ``theta`` defaults to -1e-3 divided by the largest dissimilarity,
-    a gentle decay that keeps every pair in play. Exponents beyond the
-    double-precision range are rejected. Elementwise, p is exactly as symmetric as d.
+    ``theta`` defaults to -1e-3 divided by the largest dissimilarity, a gentle decay that
+    keeps every pair in play. Exponents beyond the double-precision range are rejected.
+    SemiMetric keeps d exactly symmetric, and p, elementwise in d, is too.
     """
     m = d.d
     if m.size == 0:

@@ -111,21 +111,18 @@ def induce_cohesion(d: SemiMetric | np.ndarray) -> CohesionMatrix:
     """Double-center a semi-metric into its cohesion matrix.
 
     gamma(u, w) = rowmean_u + rowmean_w - grandmean - d(u, w), the negated
-    double centering -JdJ: as symmetric as d, with rows summing to zero.
+    double centering -JdJ: exactly symmetric, as d is, with zero row sums.
     """
-    if not isinstance(d, SemiMetric):
-        d = SemiMetric(np.asarray(d, dtype=float))
+    d = d if isinstance(d, SemiMetric) else SemiMetric(d)
     m = d.d
     row = m.mean(axis=1)
-    grand = float(m.mean())
-    return CohesionMatrix(row[:, None] + row[None, :] - grand - m)
+    return CohesionMatrix(row[:, None] + row[None, :] - float(m.mean()) - m)
 
 
 def induce_metric(gamma: CohesionMatrix | np.ndarray) -> SemiMetric:
     """Recover the semi-metric d(u, w) = (g(u,u) + g(w,w)) / 2 - g(u, w), in row
-    blocks; d is as symmetric as g, and d(u, u) = 0.5 * (x + x) - x is exactly +0.0."""
-    if not isinstance(gamma, CohesionMatrix):
-        gamma = CohesionMatrix(np.asarray(gamma, dtype=float))
+    blocks; d is exactly symmetric, as g is, and d(u, u) = 0.5 * (x + x) - x is +0.0."""
+    gamma = gamma if isinstance(gamma, CohesionMatrix) else CohesionMatrix(gamma)
     g = gamma.gamma
     diag = np.diag(g)
     d = np.empty(g.shape)
@@ -259,8 +256,7 @@ def half_sq_euclidean(x: DataMatrix | np.ndarray) -> SemiMetric:
     """Half squared Euclidean distances between rows of the data matrix,
     (|x_u|^2 + |x_w|^2 - 2 x_u . x_w) / 2, written over the Gram matrix a
     row block at a time; adding -2 x_u . x_w rounds as subtracting it does."""
-    if not isinstance(x, DataMatrix):
-        x = DataMatrix(np.asarray(x, dtype=float))
+    x = x if isinstance(x, DataMatrix) else DataMatrix(x)
     pts = x.x if x.x.flags.forc else x.x.copy()  # C or Fortran order, for the mirroring below
     sq = (pts * pts).sum(axis=1)
     d = pts @ pts.T  # the only n x n array; numpy mirrors one triangle, so it is exactly symmetric
@@ -286,8 +282,7 @@ def pca_embedding(
     null vectors of the Gram matrix. Centred data, or a singular value,
     past the float range is a ValueError.
     """
-    if not isinstance(x, DataMatrix):
-        x = DataMatrix(np.asarray(x, dtype=float))
+    x = x if isinstance(x, DataMatrix) else DataMatrix(x)
     n, p = x.x.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")

@@ -131,11 +131,12 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """m as a float array, square and within ``tol`` of its transpose; a
-    NaN or infinite entry is not. Checked a 64 x 64 tile and its mirror
-    at a time, on and above the diagonal; a tile's copy and numpy's buffer
-    for its subtraction come to about 64 kB."""
-    m = np.asarray(m, dtype=float)
+    """m as a float array, square and within ``tol`` of its transpose (a NaN or
+    infinite entry is not), returned exactly symmetric: a tile pair that differs
+    is averaged, with ``_symmetrize``'s bits, into a copy, and m is never written.
+    Read a 64 x 64 tile and its mirror at a time, on and above the diagonal; a
+    tile's copy and numpy's buffer for its subtraction come to about 64 kB."""
+    m = out = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square")
     tiles = [slice(s, s + 64) for s in range(0, m.shape[0], 64)]
@@ -143,10 +144,14 @@ def _check_symmetric(m: np.ndarray, tol: float = 1e-12, name: str = "matrix") ->
         for c in tiles[i:]:
             t = m[c, b].T.copy()  # copies, unlike ufuncs, take no iterator buffers
             t -= m[b, c]
-            if not np.max(np.abs(t, out=t)) <= tol:
+            if not (gap := np.max(np.abs(t, out=t))) <= tol:
                 raise ValueError(f"{name} must be finite and symmetric")
+            if gap:
+                out = m.copy() if out is m else out
+                t = 0.5 * (m[c, b].T + m[b, c])
+                out[b, c], out[c, b] = t, t.T
             del t  # before the next tile's t: one tile alive at a time
-    return m
+    return out
 
 
 def _norm_inf(m: np.ndarray) -> float:
@@ -270,10 +275,10 @@ def top_k_eigen(m: "np.ndarray | Covariance", k: int) -> EigenPairs:
     Parameters
     ----------
     m : (n, n) array, ModularityMatrix or CovarianceOperator
-        Symmetric input. An array is checked here (asymmetry beyond
-        1e-12 is rejected) and always decomposed densely, so it serves
-        as the dense oracle. The two covariance forms were checked, or
-        are symmetric by construction, and are used as they are: they
+        Symmetric input. An array is checked here (asymmetry beyond 1e-12
+        is rejected, less is averaged) and always decomposed densely, so it
+        serves as the dense oracle. The two covariance forms were checked,
+        or are symmetric by construction, and are used as they are: they
         take the Lanczos iteration when ``krylov_pays(k, n)``, and the
         dense decomposition of their ``q``, which the operator forms on
         first use, otherwise or when the iteration fails to converge or

@@ -96,6 +96,22 @@ def test_tiled_gate_sees_each_pair(u, w, value):
         _check_symmetric(m)
 
 
+@pytest.mark.parametrize("u, w", [(5, 200), (200, 5), (127, 128), (20, 10), (290, 40)])
+def test_gate_returns_an_exactly_symmetric_copy(u, w):
+    """A pair off by less than the tolerance is averaged, with the bits of
+    a whole-array symmetrizing pass, into a copy; the input keeps its bits,
+    and an exactly symmetric input comes back as it is."""
+    n = 300
+    m = np.random.default_rng(n).standard_normal((n, n))
+    m += m.T
+    assert _check_symmetric(m) is m
+    m[u, w] += 5e-13
+    before = m.copy()
+    out = _check_symmetric(m)
+    assert out is not m and m.tobytes() == before.tobytes()
+    assert out.tobytes() == _symmetrize(before).tobytes()
+
+
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_tiled_gate_matches_the_whole_array_test(n, seed):

@@ -181,6 +181,16 @@ def test_expdist_default_theta_is_gentle():
     assert np.abs(s.p - 1.0 / 36).max() <= 1e-4
 
 
+def test_expdist_of_a_nearly_symmetric_semimetric_is_a_sampled_graph():
+    """SemiMetric accepts d 5e-13 off symmetric and keeps it exactly
+    symmetric, so p passes its own 1e-14 gate: with the default theta, p
+    is near 0.25, and the input's gap scaled by p |theta| would be 1.25e-13."""
+    d = np.array([[0.0, 1e-3], [1e-3 + 5e-13, 0.0]])
+    p = exp_distance_sampling(SemiMetric(d)).p
+    assert p[0, 1] == p[1, 0]
+    np.testing.assert_allclose(p, [[0.250125, 0.249875], [0.249875, 0.250125]], rtol=1e-6)
+
+
 def test_expdist_overflow_guard():
     d = SemiMetric(np.array([[0.0, 10.0], [10.0, 0.0]]))
     with pytest.raises(NumericalError):

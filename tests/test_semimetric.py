@@ -103,17 +103,20 @@ def test_duality_round_trip():
         np.testing.assert_allclose(back, d, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale, noise", [(1.0, 1e-13), (1e4, 9e-13)], ids=["unit", "1e4"])
 @pytest.mark.parametrize("seed", range(5))
-def test_cohesion_of_a_nearly_symmetric_semimetric_keeps_zero_row_sums(seed):
-    """A semi-metric may miss symmetry by up to 1e-12. Centred by its own
-    row means, its cohesion's rows still sum to zero at roundoff, so upper
-    noise of 1e-13 on 200 nodes passes both gates and comes back whole."""
+def test_cohesion_of_a_nearly_symmetric_semimetric_keeps_zero_row_sums(seed, scale, noise):
+    """A semi-metric may miss symmetry by up to 1e-12; SemiMetric keeps it
+    averaged, exactly symmetric. Its cohesion's rows then sum to zero at
+    roundoff, and at entries up to 1e4, where 9e-13 is one ulp, the
+    rounding of s - d(u, w) cannot put the cohesion off symmetric. Upper
+    noise on 200 nodes passes both gates and comes back whole."""
     rng = np.random.default_rng(seed)
-    d = random_semimetric(rng, 200)
-    d += np.triu(rng.uniform(-1e-13, 1e-13, d.shape), 1)
+    d = random_semimetric(rng, 200, scale)
+    d += np.triu(rng.uniform(-noise, noise, d.shape), 1)
     gamma = induce_cohesion(SemiMetric(d))
     assert isinstance(gamma, CohesionMatrix)
-    np.testing.assert_allclose(induce_metric(gamma).d, d, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(induce_metric(gamma).d, d, rtol=0, atol=1e-12 * scale)
 
 
 def test_cohesion_need_not_be_positive_semidefinite():
