@@ -42,8 +42,8 @@ from .sampling import (
 from .semimetric import load_points, pca_embedding, resistance_distance
 from .semimetric import eigenmap_embedding as _eigenmap
 from .softmax import hard_assign, softmax_classify, softmax_cluster, zero_diagonal
-from .spectral import EigenPairs, Embedding, eigenvalues, reconstruct, select_dimension
-from .spectral import top_k_eigen, top_spectrum
+from .spectral import EigenPairs, Embedding, LanczosState, eigenvalues, reconstruct
+from .spectral import select_dimension, top_k_eigen, top_spectrum
 
 
 class _UsageError(Exception):
@@ -162,19 +162,24 @@ def _covariance(args: argparse.Namespace, g: Graph) -> ModularityMatrix | Covari
 
 def _spectrum(
     args: argparse.Namespace, q: ModularityMatrix | CovarianceOperator
-) -> tuple[np.ndarray | None, int, EigenPairs | None]:
-    """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else
-    None); k, a fixed ``--dim`` (checked where the graph was read) or the
-    one auto picks; and the pairs of the rung that settled k (else None),
-    whose leading k are the embedding, so no rung is solved twice. Auto
-    without a sidecar, on the edge and walk operators, asks ``top_spectrum``;
-    when nothing settles, and for every sidecar, the dense ``eigenvalues`` do."""
+) -> tuple[np.ndarray | None, int, EigenPairs | None, LanczosState | None]:
+    """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else None): a settled
+    ``top_spectrum``'s, which auto asks on the edge and walk operators without a sidecar, else
+    the dense ``eigenvalues``; k, a fixed ``--dim`` (checked where the graph was read) or the
+    one auto picks; and ``top_spectrum``'s pairs and Lanczos state (else None)."""
     if args.dim is not None and not args.emit_spectrum:
-        return None, args.dim, None
+        return None, args.dim, None, None
     auto = not args.emit_spectrum and isinstance(q, CovarianceOperator)
-    top = top_spectrum(q) if auto else None
+    top, state = top_spectrum(q) if auto else (None, None)
     values = eigenvalues(q) if top is None else top.values
-    return values, args.dim or select_dimension(values), top
+    return values, args.dim or select_dimension(values), top, state
+
+
+def _embedding(args: argparse.Namespace, q) -> tuple[np.ndarray | None, int, np.ndarray]:
+    """``_spectrum``'s values and k, and k leading eigenvectors: the settled rung's, else
+    ``top_k_eigen``'s, going on from the rungs' state, so no pair is solved for twice."""
+    values, k, top, state = _spectrum(args, q)
+    return values, k, top_k_eigen(q, k, state).vectors if top is None else top.vectors[:, :k]
 
 
 # ===================================================================
@@ -228,9 +233,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    q = _covariance(args, g)
-    values, k, top = _spectrum(args, q)
-    h = top_k_eigen(q, k).vectors if top is None else top.vectors[:, :k]
+    values, k, h = _embedding(args, _covariance(args, g))
     _write_tsv(args.output, _embedding_rows(g.ids, h))
     if args.emit_spectrum:
         _write_tsv(args.emit_spectrum, _spectrum_rows(values, k))
@@ -288,9 +291,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dataset, _ = load_labels(args.labels, g)
-    q = _covariance(args, g)
-    values, k, top = _spectrum(args, q)
-    h = top_k_eigen(q, k).vectors if top is None else top.vectors[:, :k]
+    values, k, h = _embedding(args, _covariance(args, g))
     label_map, holdout = train_test_split(
         dataset,
         args.train_fraction,

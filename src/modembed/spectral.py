@@ -184,38 +184,56 @@ def _uniforms(seed: int, n: int) -> np.ndarray:
     return np.fromiter(starmap(random.Random(seed).random, repeat((), n)), float, n)
 
 
-def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Thick-restart Lanczos iteration (Wu & Simon 2000) for the
-    algebraically largest k of n pairs, 1 <= k < n.
+class LanczosState:
+    """A thick-restart Lanczos iteration (Wu & Simon 2000) between sweeps:
+    orthonormal rows ``basis[:-1]``, m's projection T onto them as its
+    eigenvalues ``theta``, descending, and eigenvectors ``s``, and the
+    residual direction r = ``basis[-1]``: m maps Ritz vector i to theta_i
+    times itself plus ``residuals[i]`` r. A new state is empty, r its start
+    vector 2u - 1 for u = ``_uniforms(0x5EED, n)``; the i-th fresh vector,
+    drawn when the Krylov space closes on an invariant subspace, comes from
+    seed 0x5EED + i. It counts ``products`` with m and ``restarts``."""
 
-    Values come back descending, with their vectors as columns. m is
-    touched only through products with one vector. The basis holds
-    ncv = min(n, max(2k + 1, 20)) rows (eigsh's default), so every
-    projection is a contiguous product, and each new row is orthogonalized
-    twice. A restart keeps the top k + (ncv - k) // 2 Ritz vectors, which
-    makes the iteration ARPACK's implicitly restarted Lanczos with exact
-    shifts (Lehoucq & Sorensen 1996) in exact arithmetic. The projected
-    T holds the three-term coefficients alone, and after a restart the
-    kept Ritz values with their couplings beta s: filling it with every
-    Gram-Schmidt coefficient puts roundoff into the residual estimates,
-    which then hover at the stopping bound. It stops when every wanted
-    pair's residual |beta s_i| is at most eps max|theta|, and raises
-    NumericalError after ``_MAX_RESTARTS`` restarts. The start vector is
-    2u - 1 for u = ``_uniforms(0x5EED, n)``, and the i-th fresh vector,
-    drawn whenever the Krylov space closes on an invariant subspace, is
-    the same from seed 0x5EED + i.
-    """
-    draws, eps = (2.0 * _uniforms(0x5EED + i, n) - 1.0 for i in count()), np.finfo(float).eps
-    ncv = min(n, max(2 * k + 1, 20))
-    keep = k + (ncv - k) // 2
-    basis, t = np.empty((ncv + 1, n)), np.zeros((ncv, ncv))
-    w = next(draws)
-    basis[0] = w / np.linalg.norm(w)
-    start, beta = 0, 0.0
+    def __init__(self, n: int) -> None:
+        self.draws = (2.0 * _uniforms(0x5EED + i, n) - 1.0 for i in count())
+        w = next(self.draws)
+        self.basis = (w / np.linalg.norm(w))[None]
+        self.theta, self.s, self.residuals = np.zeros(0), np.zeros((0, 0)), np.zeros(0)
+        self.products = self.restarts = 0
+
+    def ritz(self, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Top k Ritz values and vectors (columns) if all |residuals_i| <= eps max|theta|."""
+        theta, eps = self.theta, np.finfo(float).eps
+        if len(theta) < k or not np.all(np.abs(self.residuals[:k]) <= eps * np.abs(theta).max()):
+            return None
+        return theta[:k], (self.s[:, :k].T @ self.basis[:len(theta)]).T
+
+
+def _lanczos(m: "np.ndarray | Covariance", k: int, state: LanczosState) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep ``state`` until ``state.ritz(k)`` gives the top k of n pairs,
+    1 <= k < n, and return them; NumericalError after ``_MAX_RESTARTS`` sweeps.
+
+    m is touched only through products with one vector. A sweep keeps
+    Ritz vectors and r, coupled in an arrow T, and extends them to ncv =
+    max(len(theta), min(n, max(2k + 1, 20))) rows (eigsh's default) of one
+    array, each orthogonalized twice. A basis that grows, from an empty
+    state or for a larger k, keeps every Ritz vector; a restart keeps the
+    top k + (ncv - k) // 2: in exact arithmetic ARPACK's implicitly
+    restarted Lanczos with exact shifts (Lehoucq & Sorensen 1996). Past the
+    arrow T holds the three-term coefficients alone, as Gram-Schmidt's
+    would put roundoff into the residual estimates."""
+    n, eps = state.basis.shape[1], np.finfo(float).eps
+    ncv = max(len(state.theta), min(n, max(2 * k + 1, 20)))
     for _ in range(_MAX_RESTARTS):
-        for i in range(start, ncv):
+        p = len(state.theta)  # a restart keeps the top Ritz vectors, a growth all of them
+        keep, basis = (k + (ncv - k) // 2, state.basis) if p == ncv else (p, np.empty((ncv + 1, n)))
+        basis[:keep], basis[keep] = state.s[:, :keep].T @ state.basis[:p], state.basis[p]
+        t = np.zeros((ncv, ncv))
+        np.fill_diagonal(t[:keep, :keep], state.theta[:keep])
+        t[keep, :keep] = t[:keep, keep] = state.residuals[:keep]
+        for i in range(keep, ncv):
             w = m @ basis[i]
-            if i > start:
+            if i > keep:
                 t[i, i - 1] = t[i - 1, i] = beta
             t[i, i] = _orthogonalize(basis[:i + 1], w)[i]
             beta = np.linalg.norm(w)
@@ -223,36 +241,26 @@ def _lanczos(m: "np.ndarray | Covariance", n: int, k: int) -> tuple[np.ndarray, 
                 basis[i + 1] = w / beta
                 continue
             beta = 0.0  # the basis spans an invariant subspace: go on from a fresh vector
-            if i + 1 < ncv:
-                w = next(draws)
+            if i + 1 < n:
+                w = next(state.draws)
                 _orthogonalize(basis[:i + 1], w)
                 basis[i + 1] = w / np.linalg.norm(w)
         theta, s = np.linalg.eigh(t)
-        theta, s = theta[::-1], s[:, ::-1]
-        if np.all(np.abs(beta * s[-1, :k]) <= eps * np.abs(theta).max()):
-            break
-        # T becomes an arrow: the kept Ritz values, coupled to the residual direction.
-        basis[:keep] = s[:, :keep].T @ basis[:ncv]
-        basis[keep] = basis[ncv]
-        t[:] = 0.0
-        np.fill_diagonal(t[:keep, :keep], theta[:keep])
-        t[keep, :keep] = t[:keep, keep] = beta * s[-1, :keep]
-        start = keep
-    else:
-        raise NumericalError(f"Lanczos iteration did not converge in {_MAX_RESTARTS} restarts")
-    return theta[:k], (s[:, :k].T @ basis[:ncv]).T
+        state.basis, state.theta, state.s = basis, theta[::-1], s[:, ::-1]
+        state.residuals = beta * state.s[-1]
+        state.products, state.restarts = state.products + ncv - keep, state.restarts + (p > 0)
+        if (pairs := state.ritz(k)) is not None:
+            return pairs
+    raise NumericalError(f"Lanczos iteration did not converge in {_MAX_RESTARTS} restarts")
 
 
 def krylov_pays(k: int, n: int) -> bool:
-    """Whether the Lanczos route should beat the dense one for k of n pairs.
-
-    ``top_k_eigen`` asks this of every covariance, for the k it is given,
-    and ``top_spectrum`` of every j it tries (one solve per j, whose
-    settled pairs are the embedding), so that early stop never runs below
-    1440 nodes (j = 8). The rule, 144 (k + 2) <= n, errs towards the dense
-    route: the iteration already beats the dense solve at k = 64 of 3200
-    nodes, which the rule sends to the dense route.
-    """
+    """Whether the Lanczos route should beat the dense one for k of n pairs,
+    asked by ``top_k_eigen`` of every covariance and by ``top_spectrum`` of
+    every rung j, so early stop never runs below 1440 nodes (j = 8). The
+    rule, 144 (k + 2) <= n, errs towards the dense route: the iteration
+    already beats the dense solve at k = 64 of 3200 nodes, which it sends
+    to the dense route."""
     return 144 * (k + 2) <= n
 
 
@@ -269,29 +277,19 @@ def _within_contract(m: "np.ndarray | Covariance", values: np.ndarray, vectors: 
     return EigenPairs(values=values, vectors=vectors)
 
 
-def top_k_eigen(m: "np.ndarray | Covariance", k: int) -> EigenPairs:
-    """Compute the K algebraically largest eigenpairs of a symmetric matrix.
+def top_k_eigen(m: "np.ndarray | Covariance", k: int, state: LanczosState | None = None) -> EigenPairs:
+    """The k algebraically largest eigenpairs, 1 <= k <= n, of a symmetric
+    (n, n) array, ModularityMatrix or CovarianceOperator m.
 
-    Parameters
-    ----------
-    m : (n, n) array, ModularityMatrix or CovarianceOperator
-        Symmetric input. An array is checked here (asymmetry beyond 1e-12
-        is rejected, less is averaged) and always decomposed densely, so it
-        serves as the dense oracle. The two covariance forms were checked,
-        or are symmetric by construction, and are used as they are: they
-        take the Lanczos iteration when ``krylov_pays(k, n)``, and the
-        dense decomposition of their ``q``, which the operator forms on
-        first use, otherwise or when the iteration fails to converge or
-        misses the residual contract.
-    k : int
-        Number of pairs, 1 <= k <= n.
-
-    Raises
-    ------
-    NumericalError
-        If the dense pairs violate the residual contract
-        ||m v - lambda v|| <= 1e-8 max(1, ||m||_inf).
-    """
+    An array is checked here (asymmetry beyond 1e-12 is rejected, less is
+    averaged) and always decomposed densely: it is the dense oracle. The
+    covariance forms, checked or symmetric by construction, are used as
+    they are. They take the Lanczos iteration from ``state`` (by default
+    empty; ``top_spectrum``'s top k are read off once converged) when
+    ``krylov_pays(k, n)``, and the dense decomposition of their ``q``,
+    formed on first use, otherwise or when the iteration fails to converge
+    or misses the residual contract ||m v - lambda v|| <= 1e-8
+    max(1, ||m||_inf); dense pairs that miss it raise NumericalError."""
     checked = hasattr(m, "norm_bound")  # a ModularityMatrix or CovarianceOperator
     if not checked:
         m = _check_symmetric(m)
@@ -301,8 +299,9 @@ def top_k_eigen(m: "np.ndarray | Covariance", k: int) -> EigenPairs:
     norm = m.norm_bound if checked else _norm_inf(m)
     bound = _RESIDUAL_BOUND * max(1.0, norm)
     if checked and krylov_pays(k, n):
-        try:
-            return _within_contract(m, *_lanczos(m, n, k), bound)
+        try:  # a fresh state goes, with its basis, before the contract's block product
+            pairs = state and state.ritz(k) or _lanczos(m, k, state or LanczosState(n))
+            return _within_contract(m, *pairs, bound)
         except NumericalError:  # the iteration gave up or missed the contract
             pass
     m = getattr(m, "q", m)
@@ -349,41 +348,41 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def top_spectrum(q: "Covariance") -> EigenPairs | None:
+def top_spectrum(q: "Covariance") -> tuple[EigenPairs | None, LanczosState]:
     """Q's top j eigenpairs, when their values settle ``select_dimension``
-    and their leading k are the embedding; otherwise None.
+    and their leading k are the embedding, else None (below 1440 nodes, when
+    no j settles, or when a rung gives up or misses ``top_k_eigen``'s
+    contract); and the Lanczos state, grown through rungs j = 8, 16, ...
+    while ``krylov_pays(j, n)`` (else empty), which ``top_k_eigen``
+    continues for the dense spectrum's k.
 
-    The Lanczos iteration computes the top j = 8, 16, ... pairs while
-    ``krylov_pays(j, n)``. Q 1 = 0, so 0 is an exact eigenvalue of Q; let
-    tau = n eps ||Q||_inf (``norm_bound``), which bounds select_dimension's
-    floor n eps max|lambda| from above and allows for roundoff in the
-    computed zero. A candidate position past j holds a value above the
-    floor, so the computed zero lies further down, the value after it is
-    at least that zero, hence at least -tau, and its gap is at most
-    lambda_j + tau: the negative spectrum never enters. So once
-    lambda_j > tau and the best gap among the top j is strictly larger
-    than lambda_j + tau, no gap further down can tie it, and the top j
-    values, all above the floor, give the k the whole spectrum gives.
+    Q 1 = 0, so 0 is an exact eigenvalue of Q; let tau = n eps ||Q||_inf
+    (``norm_bound``), which bounds select_dimension's floor n eps
+    max|lambda| from above and allows for roundoff in the computed zero. A
+    candidate position past j holds a value above the floor, so the
+    computed zero lies further down, the value after it is at least that
+    zero, hence at least -tau, and its gap is at most lambda_j + tau: the
+    negative spectrum never enters. So once lambda_j > tau and the best gap
+    among the top j is strictly larger than lambda_j + tau, no gap further
+    down can tie it, and the top j values, all above the floor, give the k
+    the whole spectrum gives.
 
     Exactly: that k equals ``select_dimension(eigenvalues(q))`` whenever
     the dense solver's copy of the zero eigenvalue lies in [-tau, floor],
     the premise the floor already rests on, and the converged Ritz values
     of the Lanczos iteration are the top j.
-
-    None below 1440 nodes (``krylov_pays(8, n)`` fails), when no j
-    settles, or when a solve gives up or misses ``top_k_eigen``'s contract.
     """
-    n, j = q.n, 8
+    n, j, state = q.n, 8, LanczosState(q.n)
     tau, bound = n * np.finfo(float).eps * q.norm_bound, _RESIDUAL_BOUND * max(1.0, q.norm_bound)
     try:
         while krylov_pays(j, n):
-            values, vectors = _lanczos(q, n, j)
+            values, vectors = _lanczos(q, j, state)
             if values[-1] > tau and np.max(values[:-1] - values[1:]) > values[-1] + tau:
-                return _within_contract(q, values, vectors, bound)
+                return _within_contract(q, values, vectors, bound), state
             j *= 2
-    except NumericalError:  # a solve did not converge or missed the contract
+    except NumericalError:  # a rung did not converge or missed the contract
         pass
-    return None
+    return None, state
 
 
 # ===================================================================

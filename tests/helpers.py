@@ -44,7 +44,7 @@ def lanczos_pairs(m, k):
     1e-8 max(1, ||m||_inf) on every pair."""
     n = m.shape[0]
     if k < n and np.abs(m).max() > 0:
-        values, vectors = spectral._lanczos(m, n, k)
+        values, vectors = spectral._lanczos(m, k, spectral.LanczosState(n))
         pairs = EigenPairs(values, spectral._fix_signs(vectors))
     else:
         pairs = top_k_eigen(m, k)

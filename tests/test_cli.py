@@ -688,22 +688,23 @@ def test_fresh_process_reruns_are_byte_identical(tmp_path):
 
 def _record_eigen_calls(monkeypatch):
     """Replace cli.top_k_eigen with a pass-through that logs (type of m,
-    k, route): "lanczos" when the call ran spectral._lanczos, whether or
-    not that converged, "dense" when it did not."""
+    k, route): "lanczos" when the call took the Lanczos route, reading
+    its pairs off a Lanczos state or running spectral._lanczos, whether
+    or not that converged, "dense" when it did not."""
     calls, iterated = [], []
-    solve, iterate = cli.top_k_eigen, spectral._lanczos
+    solve, read = cli.top_k_eigen, spectral.LanczosState.ritz
 
-    def lanczos(m, n, k):
+    def ritz(state, k):
         iterated.append(k)
-        return iterate(m, n, k)
+        return read(state, k)
 
-    def record(m, k):
+    def record(m, k, state=None):
         iterated.clear()
-        pairs = solve(m, k)
+        pairs = solve(m, k, state)
         calls.append((type(m).__name__, k, "lanczos" if iterated else "dense"))
         return pairs
 
-    monkeypatch.setattr(spectral, "_lanczos", lanczos)
+    monkeypatch.setattr(spectral.LanczosState, "ritz", ritz)
     monkeypatch.setattr(cli, "top_k_eigen", record)
     return calls
 
@@ -721,9 +722,9 @@ def _record_loads(monkeypatch):
     return loaded
 
 
-def _write_large_planted(tmp_path, blocks, size):
+def _write_large_planted(tmp_path, blocks, size, p_in=0.2, p_out=0.005):
     """A connected planted partition big enough for the Krylov route."""
-    g, dataset = planted_partition(blocks, size, 0.2, 0.005, seed=0, ensure_connected=True)
+    g, dataset = planted_partition(blocks, size, p_in, p_out, seed=0, ensure_connected=True)
     graph_path = tmp_path / "large.txt"
     graph_path.write_text("".join(f"{g.ids[u]} {g.ids[w]}\n" for u, w in g.edges))
     label_path = tmp_path / "large_labels.txt"
@@ -744,10 +745,11 @@ def _write_large_planted(tmp_path, blocks, size):
         ("planted", ["cluster", "--dim", "3"], [], []),
         ("settled", ["embed", "--dim", "auto", "--sampler", "walk:3"], [], [8]),
         ("settled", ["classify", "--dim", "auto", "--sampler", "walk:3"], [], [8]),
+        ("unsettled", ["embed", "--dim", "auto"], [(7, "lanczos")], [8]),
     ],
     ids=[
         "fixed", "fixed-sidecar", "classify-fixed", "small-n", "small-n-sidecar",
-        "barbell", "auto", "cluster", "settled-auto", "classify-settled-auto",
+        "barbell", "auto", "cluster", "settled-auto", "classify-settled-auto", "unsettled-auto",
     ],
 )
 def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, expected,
@@ -756,11 +758,17 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
     pairs, on the Krylov route when krylov_pays(K, n) and densely
     otherwise; spectra need no eigenpairs at all. An auto K that
     top_spectrum settles, here at j = 8 on 1440 nodes, is embedded from
-    that rung's pairs: one Lanczos solve in all, and no top_k_eigen."""
+    that rung's pairs: one Lanczos solve in all, and no top_k_eigen. One
+    that j = 8 does not settle, on sparser blocks, takes k from the dense
+    spectrum and reads its pairs off that rung's converged Lanczos state:
+    one solve too, whose columns are the sidecar's selected_k and meet the
+    residual contract against the dense Q."""
     if graph == "large":
         _, graph_path, label_path = _write_large_planted(tmp_path, 3, 200)
     elif graph == "settled":
         _, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
+    elif graph == "unsettled":
+        g, graph_path, label_path = _write_large_planted(tmp_path, 8, 180, 0.05, 0.002)
     elif graph == "planted":
         graph_path, label_path = _write_planted(tmp_path)
     else:
@@ -771,10 +779,23 @@ def test_eigensolver_routing(tmp_path, monkeypatch, barbell_file, graph, flags, 
         argv.append(str(tmp_path / "spec.tsv"))
     calls, iterated, iterate = _record_eigen_calls(monkeypatch), [], spectral._lanczos
     monkeypatch.setattr(spectral, "_lanczos",
-                        lambda m, n, k: iterated.append(k) or iterate(m, n, k))
+                        lambda m, k, state: iterated.append(k) or iterate(m, k, state))
     assert main(argv + ["--output", str(tmp_path / "out.tsv")]) == 0
     assert [call[1:] for call in calls] == expected
     assert iterated == solves
+    if graph != "unsettled":
+        return
+    spec = tmp_path / "spec.tsv"
+    assert main(argv + ["--emit-spectrum", str(spec), "--output", os.devnull]) == 0
+    _, body = read_table(tmp_path / "out.tsv")
+    h = np.zeros((g.n, len(body[0]) - 1))
+    for name, *row in body:
+        h[g.index_of(name)] = [float(v) for v in row]
+    assert spec.read_text().splitlines()[-1] == f"# selected_k\t{h.shape[1]}"
+    q = modularity_matrix(edge_sampling(g)).q
+    theta = np.einsum("ij,ij->j", h, q @ h)
+    bound = 1e-8 * max(1.0, np.abs(q).sum(axis=1).max())
+    assert np.linalg.norm(q @ h - h * theta, axis=0).max() <= bound
 
 
 @pytest.mark.parametrize(
@@ -961,7 +982,8 @@ def test_no_command_draws_gaussians(tmp_path, monkeypatch):
 
     monkeypatch.setattr(random.Random, "gauss", refuse)
     solves, iterate = [], spectral._lanczos
-    monkeypatch.setattr(spectral, "_lanczos", lambda m, n, k: solves.append(k) or iterate(m, n, k))
+    monkeypatch.setattr(spectral, "_lanczos",
+                        lambda m, k, state: solves.append(k) or iterate(m, k, state))
     _, graph_path, label_path = _write_large_planted(tmp_path, 8, 180)
     for argv in (["embed", graph_path, "--dim", "8"],
                  ["classify", graph_path, label_path, "--sampler", "walk:3", "--dim", "auto"],
@@ -1149,7 +1171,7 @@ def test_auto_classify_forms_no_dense_q(tmp_path, monkeypatch, sampler):
     fast, dense = tmp_path / "fast.tsv", tmp_path / "dense.tsv"
     assert main(argv + ["--output", str(fast)]) == 0
     assert "q" not in vars(operators[0])
-    monkeypatch.setattr(cli, "top_spectrum", lambda q: None)
+    monkeypatch.setattr(cli, "top_spectrum", lambda q: (None, None))
     assert main(argv + ["--output", str(dense)]) == 0
     assert "q" in vars(operators[1])
     assert fast.read_bytes() == dense.read_bytes()

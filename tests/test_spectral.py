@@ -118,7 +118,7 @@ def test_power_route_reports_non_convergence(monkeypatch):
     m = 0.5 * (m + m.T)
     monkeypatch.setattr(spectral, "_MAX_RESTARTS", 3)
     with pytest.raises(NumericalError, match="did not converge"):
-        spectral._lanczos(m, 50, 2)
+        spectral._lanczos(m, 2, spectral.LanczosState(50))
 
 
 def test_power_route_converges_on_a_long_cycle():
@@ -149,6 +149,20 @@ def test_power_route_restarts_are_seeded():
     np.testing.assert_allclose(first.values, top_k_eigen(op.q, 2).values, rtol=0, atol=1e-12)
 
 
+def test_a_grown_lanczos_state_stays_orthonormal_on_a_star():
+    """On a 2600-node star every Lanczos step closes the Krylov space on
+    the (n - 1)-fold zero top eigenvalue, the last step of rung 8 too, so
+    the residual row rung 16 grows from is a fresh draw: the state's rows
+    stay orthonormal, nothing settles, no dense Q is formed, and the top
+    pairs read off the state are zeros."""
+    op = CovarianceOperator(Graph.from_edges([(0, i, 1.0) for i in range(1, 2600)]))
+    top, state = spectral.top_spectrum(op)
+    assert top is None and "q" not in vars(op) and state.basis.shape == (34, 2600)
+    assert np.abs(state.basis @ state.basis.T - np.eye(34)).max() <= 1e-10
+    pairs = top_k_eigen(op, 2, state)
+    assert np.abs(pairs.values).max() <= 1e-12 * op.norm_bound and "q" not in vars(op)
+
+
 class _Counted:
     """An operator that counts its products."""
 
@@ -165,7 +179,7 @@ def test_lanczos_products_stay_within_arpacks():
     most 300 products: 258 measured, where ARPACK took 265."""
     g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
     op = _Counted(CovarianceOperator(g))
-    spectral._lanczos(op, g.n, 16)
+    spectral._lanczos(op, 16, spectral.LanczosState(g.n))
     assert op.products <= 300
 
 
@@ -178,7 +192,7 @@ def test_lanczos_matches_the_dense_spectrum(blocks, size, length, k):
     1 - 1e-10 (k ends at a community gap)."""
     g, _ = planted_partition(blocks, size, 0.1, 0.002, seed=1, ensure_connected=True)
     op = CovarianceOperator(g, length)
-    values, vectors = spectral._lanczos(op, g.n, k)
+    values, vectors = spectral._lanczos(op, k, spectral.LanczosState(g.n))
     assert np.abs(values - np.linalg.eigvalsh(op.q)[::-1][:k]).max() <= 1e-12 * op.norm_bound
     top = np.linalg.eigh(op.q)[1][:, ::-1][:, :k]
     assert np.linalg.svd(vectors.T @ top, compute_uv=False).min() >= 1 - 1e-10
@@ -187,7 +201,8 @@ def test_lanczos_matches_the_dense_spectrum(blocks, size, length, k):
 def _record_lanczos(monkeypatch):
     """Replace spectral._lanczos with a pass-through that logs each k."""
     calls, solve = [], spectral._lanczos
-    monkeypatch.setattr(spectral, "_lanczos", lambda m, n, k: calls.append(k) or solve(m, n, k))
+    monkeypatch.setattr(spectral, "_lanczos",
+                        lambda m, k, state: calls.append(k) or solve(m, k, state))
     return calls
 
 
@@ -237,9 +252,9 @@ def test_failed_lanczos_gives_the_dense_bytes(failure, monkeypatch):
     dense = top_k_eigen(CovarianceOperator(g).q, 2)
     outcomes, solve = [], spectral._lanczos
 
-    def record(m, n, k):
+    def record(m, k, state):
         try:
-            values, vectors = solve(m, n, k)
+            values, vectors = solve(m, k, state)
         except NumericalError:
             outcomes.append("gave up")
             raise
@@ -580,7 +595,7 @@ def test_top_spectrum_settles_the_dense_dimension(planted_1440, length, exact):
     every principal cosine is at least 1 - 1e-8."""
     g = planted_1440
     q = CovarianceOperator(g) if length is None else CovarianceOperator(g, length, exact_length=exact)
-    top = spectral.top_spectrum(q)
+    top, _ = spectral.top_spectrum(q)
     assert "q" not in vars(q)  # no dense Q was formed
     k = select_dimension(top.values)
     assert top.values.shape == (8,) and k == select_dimension(eigenvalues(q))
@@ -615,7 +630,7 @@ def test_top_spectrum_gives_up(case, monkeypatch):
         g = Graph.from_edges([(i, (i + 1) % 1500, 1.0) for i in range(1500)])
         q = CovarianceOperator(g) if case == "cycle-edge" else CovarianceOperator(g, 3)
     reads = _stub_dense_spectrum(monkeypatch)
-    assert spectral.top_spectrum(q) is None and reads == [] and "q" not in vars(q)
+    assert spectral.top_spectrum(q)[0] is None and reads == [] and "q" not in vars(q)
 
 
 def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
@@ -682,7 +697,7 @@ def test_top_spectrum_closes_exactly_when_the_gap_beats_the_bound(margin, monkey
     tau = 1440 * np.finfo(float).eps * 1.0
     q, top = _planted_top(0.46 - tau - margin, -0.04)
     reads = _stub_dense_spectrum(monkeypatch)
-    pairs = spectral.top_spectrum(q)
+    pairs, _ = spectral.top_spectrum(q)
     assert reads == []
     if margin < 0:
         assert pairs is None
@@ -696,9 +711,38 @@ def test_top_spectrum_ignores_the_negative_spectrum():
     above it, which a lower bound on lambda_min could not settle; the
     zero eigenvalue does, with the dense k."""
     q, top = _planted_top(0.42, -5.0)
-    pairs = spectral.top_spectrum(q)
+    pairs, _ = spectral.top_spectrum(q)
     _check_planted_pairs(q, pairs, top)
     assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 3
+
+
+def test_top_spectrum_grows_one_solve_from_j_8_to_16(monkeypatch):
+    """On n = 2600, where j = 16 pays, 15 values from 1 down to 0.93 over
+    lambda_16 = 0.3 and a bulk in [-0.02, 0.25]: the top 8 values settle
+    nothing, the top 16 settle the dense k = 15. The 16 pairs are the
+    planted ones, within 1e-12 and principal cosines 1 - 1e-8, and rung 16,
+    which goes on from rung 8's Lanczos state, takes fewer products than
+    a fresh solve for 16 pairs."""
+    top = np.append(np.linspace(1.0, 0.93, 15), 0.3)
+    q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(0.25, -0.02, 2600 - 17)]))
+    rungs, solve = [], spectral._lanczos
+
+    def record(m, k, state):
+        before = state.products
+        pairs = solve(m, k, state)
+        rungs.append((k, state.products - before))
+        return pairs
+
+    monkeypatch.setattr(spectral, "_lanczos", record)
+    pairs, state = spectral.top_spectrum(q)
+    np.testing.assert_allclose(pairs.values, top, rtol=0, atol=1e-12)
+    cosines = np.linalg.svd(pairs.vectors.T @ q.vectors(slice(1, 17)), compute_uv=False)
+    assert cosines.min() >= 1 - 1e-8
+    assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 15
+    fresh = spectral.LanczosState(q.n)
+    solve(q, 16, fresh)
+    assert [k for k, _ in rungs] == [8, 16] and sum(p for _, p in rungs) == state.products
+    assert rungs[1][1] < fresh.products
 
 
 def test_top_spectrum_needs_lambda_j_above_the_allowance(monkeypatch):
@@ -708,7 +752,7 @@ def test_top_spectrum_needs_lambda_j_above_the_allowance(monkeypatch):
     top = [1.0, 0.98, 0.96, 0.5, 0.49]
     q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(-0.001, -0.3, 1440 - 6)]))
     reads = _stub_dense_spectrum(monkeypatch)
-    assert spectral.top_spectrum(q) is None and reads == []
+    assert spectral.top_spectrum(q)[0] is None and reads == []
 
 
 def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
@@ -722,9 +766,9 @@ def test_completion_breaks_ties_towards_the_smallest_k(monkeypatch):
     monkeypatch.setattr(spectral, "_lanczos", lambda *args: (top, q.vectors(slice(1, 9))))
     unit = 2048 * np.finfo(float).eps  # tau per unit of norm_bound, 2**-41
     q.norm_bound = 0.75 / unit  # a loose bound on ||Q||_inf is still a bound
-    pairs = spectral.top_spectrum(q)
+    pairs, _ = spectral.top_spectrum(q)
     assert pairs.values.tobytes() == top.tobytes()
     assert select_dimension(pairs.values) == 1
     reads = _stub_dense_spectrum(monkeypatch)
     q.norm_bound = 0.875 / unit
-    assert spectral.top_spectrum(q) is None and reads == []
+    assert spectral.top_spectrum(q)[0] is None and reads == []
