@@ -45,7 +45,7 @@ class SampledGraph:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_u", p.sum(axis=1))
         if not abs(self.p_u.sum() - 1.0) <= _MASS_TOL:
-            raise ValueError(f"total mass {self.p_u.sum()!r} is not 1")
+            raise ValueError(f"total mass {float(self.p_u.sum())!r} is not 1")
 
     @property
     def n(self) -> int:
@@ -126,6 +126,8 @@ def exp_distance_sampling(d: SemiMetric, theta: float | None = None) -> SampledG
             f"exponential range ({_EXP_RANGE:g})"
         )
     w = np.multiply(theta, m)  # the one n x n array: exp and normalize in place
+    if theta > 0:  # shift the largest exponent to 0, so Z cannot overflow
+        w -= theta * dmax
     np.exp(w, out=w)
     w /= w.sum()
     return SampledGraph(w)

@@ -27,9 +27,9 @@ _AXIOM_TOL = 1e-12
 # n * eps * max|gamma|, the roundoff of summing n entries of that size.
 _ROWSUM_ULPS = 16
 # L+ must map a centred probe v back to itself, |L L+ v - v| <= this times |v|.
-# Weights alternating w and 1/w along a 400-node path give 5e-7 at w = 1e3,
-# 5e-5 at 1e4 and 4e-3 at 1e5 (0.6% off in the end-to-end resistance);
-# unit paths of up to 3000 nodes give at most 3e-9.
+# Weights alternating w and 1/w along a 400-node path give 3.9e-7 at w = 1e3,
+# 4.0e-5 at 1e4 and 3.9e-3 at 1e5 (0.4% off in the end-to-end resistance);
+# unit paths of up to 3000 nodes give at most 2.9e-9.
 _PINV_TOL = 1e-3
 
 
@@ -145,12 +145,14 @@ def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
     """Overwrite symmetric positive definite a with Y = C^-1, where C is
     its lower Cholesky factor (a = C C^T), and return it; a^-1 = Y^T Y.
 
-    By halves, in a's own buffer: with Y11 the first half's inverse
-    factor, the panel C21 = A21 Y11^T, the trailing half is downdated
-    to A22 - C21 C21^T, and Y21 = -Y22 C21 Y11 is the inverse's lower
-    left block. Each product is a quarter of a's size; a leaf of at most
-    _LEAF rows goes to LAPACK. A block that is not numerically positive
-    definite raises np.linalg.LinAlgError.
+    By halves, in a's own buffer, reading its lower triangle only: with
+    Y11 the first half's inverse factor, the panel C21 = A21 Y11^T, the
+    trailing half's lower triangle is downdated to A22 - C21 C21^T, and
+    Y21 = -Y22 (C21 Y11) is the inverse's lower left block. Products are
+    written back _LEAF rows at a time, the last bottom panel first, so it
+    reads rows of C21 Y11 not yet overwritten; a leaf of at most _LEAF
+    rows goes to LAPACK. The strict upper triangle is +0.0. A block that
+    is not numerically positive definite raises np.linalg.LinAlgError.
     """
     n = a.shape[0]
     if n <= _LEAF:
@@ -159,12 +161,31 @@ def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
     h = n // 2
     y11, c21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
     _inverse_cholesky(y11)
-    c21[...] = c21 @ y11.T
-    a22 -= c21 @ c21.T
+    panels = [slice(s, s + _LEAF) for s in range(0, n - h, _LEAF)]
+    for b in panels:
+        c21[b] = c21[b] @ y11.T
+        a22[b, :b.stop] -= c21[b] @ c21[:b.stop].T
     _inverse_cholesky(a22)
-    np.negative(a22 @ c21 @ y11, out=c21)
+    for b in panels:
+        c21[b] = c21[b] @ y11
+    for b in reversed(panels):
+        np.negative(a22[b, :b.stop] @ c21[:b.stop], out=c21[b])
     a[:h, h:] = 0.0
     return a
+
+
+def _lower_gram(y: np.ndarray) -> np.ndarray:
+    """Overwrite lower triangular y with Y^T Y and return it, as LAPACK's dlauum
+    does: top panel of _LEAF rows first, X[b, :e] = Y[s:, b]^T Y[s:, :e] reads
+    only rows of Y at or below the panel, which are not yet overwritten. Each
+    panel's lower triangle is mirrored into the upper (its diagonal block as
+    tril(d) + tril(d, -1)^T, whose sums commute), so X is exactly symmetric."""
+    for s in range(0, y.shape[0], _LEAF):
+        b = slice(s, s + _LEAF)
+        y[b, :b.stop] = y[s:, b].T @ y[s:, :b.stop]
+        y[:s, b] = y[b, :s].T
+        np.add(np.tril(y[b, b]), np.tril(y[b, b], -1).T, out=y[b, b])
+    return y
 
 
 def laplacian_pinv(g: Graph) -> CohesionMatrix:
@@ -173,10 +194,11 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     Connected graphs only: L^+ = (L + sJ/n)^-1 - J/(sn) for any s > 0,
     with J the all-ones matrix (Klein and Randic 1993). s is the mean
     weighted degree, so the roundoff does not grow with the weights.
-    The inverse is Y^T Y, Y the inverse Cholesky factor of L + sJ/n,
-    formed in that matrix's own buffer. Subtracting J/(sn) is the double
-    centering (I - J/n) X (I - J/n) of X = (L + sJ/n)^-1, whose row means
-    are exactly 1/(sn); centering X by its computed row means instead
+    The inverse is Y^T Y, Y the inverse Cholesky factor of L + sJ/n;
+    both are formed, and centred, in that matrix's own buffer, the one
+    n x n array held. Subtracting J/(sn) is the double centering
+    (I - J/n) X (I - J/n) of X = (L + sJ/n)^-1, whose row means are
+    exactly 1/(sn); centering X by its computed row means instead
     leaves row sums at summation roundoff, however ill-conditioned L is.
     NumericalError is raised when the shifted Laplacian does not factor,
     or when L+ fails its identity L L+ v = v by more than 1e-3 |v| on the
@@ -190,13 +212,11 @@ def laplacian_pinv(g: Graph) -> CohesionMatrix:
     s = float(np.trace(lap)) / g.n or 1.0  # a lone node has L = [0]
     lap += s / g.n
     try:
-        y = _inverse_cholesky(lap)
+        x = _lower_gram(_inverse_cholesky(lap))  # lap's buffer, the only n x n array
     except np.linalg.LinAlgError:
         raise NumericalError(
             "Laplacian pseudo-inverse failed: shifted Laplacian is not numerically positive definite"
         ) from None
-    x = y.T @ y  # numpy mirrors one triangle of this Gram product, so x is exactly symmetric
-    del lap, y  # x, the only n x n array from here on, is centred in place
     r = x.mean(axis=1)
     # r_u + r_w adds in either order to the same bits, so x stays symmetric.
     for b in _row_blocks(*x.shape):

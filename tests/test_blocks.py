@@ -2,8 +2,9 @@
 
 A block holds about 128 kB of rows (``spectral._row_blocks``), so
 karate (34 nodes) is a single block. The symmetrize property draws n
-from 1..300; every other test uses n >= 240, several blocks with a
-ragged last one.
+from 1..300; the L+ kernels' panel-edge tests take n from 129 up, one
+past a _LEAF-row panel; every other test uses n >= 240, several blocks
+with a ragged last one.
 """
 
 import os
@@ -32,7 +33,7 @@ from modembed import (
     planted_partition,
     resistance_distance,
 )
-from modembed.semimetric import _inverse_cholesky
+from modembed.semimetric import _LEAF, _inverse_cholesky, _lower_gram
 from modembed.spectral import _check_symmetric, _row_blocks, _symmetrize
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -153,12 +154,14 @@ def chain():
 
 
 def test_expdist_stages_hold_at_most_two_arrays(chain):
-    """laplacian_pinv keeps L, overwritten by its inverse Cholesky factor,
-    and the inverse, the later stages only their output; each adds at
-    most a few 128 kB blocks (numpy's own ufunc buffers included). The
-    LAPACK leaves' own buffers are not traced; the RSS test below sees them."""
+    """laplacian_pinv keeps L, overwritten by its inverse Cholesky factor
+    and then by the inverse, and a panel of at most _LEAF rows of a
+    product (0.18 of an array at n = 600); resistance_distance adds its
+    output. The later stages hold only their output; each adds at most a
+    few 128 kB blocks (numpy's own ufunc buffers included). The LAPACK
+    leaves' own buffers are not traced; the RSS test below sees them."""
     g, gamma, r, s, _ = chain
-    assert _peak(laplacian_pinv, g) <= 2.1
+    assert _peak(laplacian_pinv, g) <= 1.3
     assert _peak(resistance_distance, g) <= 2.1
     assert _peak(induce_metric, gamma) <= 1.1
     assert _peak(exp_distance_sampling, r) <= 1.1
@@ -232,15 +235,14 @@ def test_inverse_cholesky_agrees_with_lapack_inv(build):
     lambda: planted_partition(3, 100, 0.1, 0.01, seed=0, ensure_connected=True)[0],
 ], ids=["path300", "cycle300", "planted300"])
 def test_pseudo_inverse_gram_product_is_exactly_symmetric(build):
-    """numpy forms Y^T Y from one triangle and mirrors it, so L+ needs no
-    symmetrizing pass, and its centering keeps it exactly symmetric. So
-    does the arithmetic of each later stage of the distance chain, and
-    the induced diagonal, 0.5 * (x + x) - x, is exactly +0.0."""
+    """_lower_gram mirrors each panel's lower triangle into the upper, so
+    L+ needs no symmetrizing pass, and its centering keeps it exactly
+    symmetric. So does the arithmetic of each later stage of the distance
+    chain, and the induced diagonal, 0.5 * (x + x) - x, is exactly +0.0."""
     g = build()
     lap = laplacian(g)
     lap += float(np.trace(lap)) / g.n / g.n
-    y = _inverse_cholesky(lap)
-    x = y.T @ y
+    x = _lower_gram(_inverse_cholesky(lap))
     assert np.array_equal(x, x.T)
     gamma = laplacian_pinv(g)
     _assert_exactly_symmetric(gamma.gamma)
@@ -248,6 +250,36 @@ def test_pseudo_inverse_gram_product_is_exactly_symmetric(build):
     assert np.diag(d.d).tobytes() == np.zeros(g.n).tobytes()
     for m in (d.d, exp_distance_sampling(d).p, induce_cohesion(d).gamma):
         _assert_exactly_symmetric(m)
+
+
+_PANEL_EDGES = [_LEAF + 1, 2 * _LEAF, 2 * _LEAF + 1, 300, 1000]
+
+
+@pytest.mark.parametrize("n", _PANEL_EDGES)
+def test_inverse_cholesky_at_panel_edges(n):
+    """Sizes one past a leaf, on and one past a panel edge, ragged, and
+    several levels of halves: Y is LAPACK's inverse Cholesky factor to
+    within 1e-13 of its largest entry, with a strict upper triangle of +0.0."""
+    m = np.random.default_rng(n).standard_normal((n, n))
+    a = m @ m.T / n + np.eye(n)
+    ref = np.linalg.inv(np.linalg.cholesky(a))
+    y = _inverse_cholesky(a)
+    assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+    upper = y[np.triu_indices(n, 1)]
+    assert upper.tobytes() == np.zeros(upper.size).tobytes()
+
+
+@pytest.mark.parametrize("n", _PANEL_EDGES)
+def test_lower_gram_at_panel_edges(n):
+    """Y^T Y formed in Y's buffer, a panel at a time. Small integer entries
+    make every sum exact, so a panel that read a row it had overwritten,
+    or missed one, would be off by at least 1."""
+    y = np.tril(np.random.default_rng(n).integers(-1000, 1001, (n, n))).astype(float)
+    ref = y.T @ y
+    x = _lower_gram(y)
+    assert x is y
+    assert np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert x.tobytes() == x.T.copy().tobytes()
 
 
 def _assert_exactly_symmetric(m):
@@ -287,17 +319,32 @@ print((peak_kb() - before) * 1024 / (g.n * g.n * 8))
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_laplacian_pinv_grows_peak_rss_by_at_most_two_and_a_half_arrays():
-    """Peak RSS sees what tracemalloc does not, LAPACK's and BLAS's own
-    buffers: on 2000 nodes, in a fresh process, laplacian_pinv adds at
-    most 2.5 n x n arrays to it (L, then its inverse, and the quarter-size
-    products of the factorization)."""
+@pytest.fixture(scope="module")
+def pinv_rss_growth():
+    """Growth of a fresh process's peak RSS over laplacian_pinv on 2000
+    nodes, in n x n arrays."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", _RSS_CHILD], env=env, check=True,
                           capture_output=True, text=True, timeout=300)
-    assert float(done.stdout) <= 2.5
+    return float(done.stdout)
+
+
+def test_laplacian_pinv_grows_peak_rss_by_at_most_two_and_a_half_arrays(pinv_rss_growth):
+    """Peak RSS sees what tracemalloc does not, LAPACK's and BLAS's own
+    buffers: laplacian_pinv adds at most 2.5 n x n arrays to it."""
+    assert pinv_rss_growth <= 2.5
+
+
+def test_laplacian_pinv_grows_peak_rss_by_at_most_one_and_a_half_arrays(pinv_rss_growth):
+    """L+ is formed in the one buffer laplacian(g) allocates: L, its
+    inverse Cholesky factor and the inverse take turns in it, and every
+    product is a panel of at most _LEAF rows. With the LAPACK leaves'
+    and BLAS's own buffers the peak grows by at most 1.5 arrays (1.13
+    measured)."""
+    assert pinv_rss_growth <= 1.5
 
 
 def _reference_half_sq(pts):

@@ -597,6 +597,18 @@ def test_spectrum_expdist_on_long_path(tmp_path):
     assert len(out.read_text().splitlines()) == 102
 
 
+def test_spectrum_expdist_with_a_positive_theta_at_the_range_edge(tmp_path, capsys):
+    """|theta| * max d = 349.9 * 2 = 699.8 on a 200-node star is inside the
+    exponential range, so the spectrum is written, with nothing on stderr."""
+    graph = tmp_path / "star200.txt"
+    graph.write_text("".join(f"0 {i}\n" for i in range(1, 200)))
+    out = tmp_path / "spec.tsv"
+    argv = ["spectrum", str(graph), "--sampler", "expdist:349.9", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 202
+
+
 @pytest.mark.parametrize(("command", "missed"), [("embed", ["8"]), ("eigenmap", ["2", "8"])])
 def test_karate_sign_split_matches_factions(tmp_path, command, missed):
     """On Zachary's karate club the sign of the one-dimensional embedding

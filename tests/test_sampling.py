@@ -197,8 +197,22 @@ def test_expdist_overflow_guard():
         exp_distance_sampling(d, theta=-80.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_expdist_positive_theta_at_the_range_edge_keeps_its_mass():
+    """On a 200-node star the leaves lie 2 apart, so theta = 349.9 puts
+    the largest exponent at 699.8, inside the range; exp of it summed
+    over the leaf pairs would overflow the normalizer, which is why the
+    exponents are shifted down by theta * max d first."""
+    d = resistance_distance(Graph.from_edges([(0, i, 1.0) for i in range(1, 200)]))
+    s = exp_distance_sampling(d, theta=349.9)
+    assert isinstance(s, SampledGraph)
+    assert abs(s.p_u.sum() - 1.0) <= 1e-12
+    # Nearly all of the mass is spread evenly over the ordered pairs of distinct leaves.
+    np.testing.assert_allclose(s.p[1, 2], 1.0 / (199 * 198), rtol=1e-9)
+
+
 def test_sampled_graph_rejects_bad_mass_or_sign():
-    with pytest.raises(ValueError, match="total mass"):
+    with pytest.raises(ValueError, match=r"^total mass 1\.2 is not 1$"):
         SampledGraph(np.full((2, 2), 0.3))
     with pytest.raises(ValueError, match="nonnegative"):
         SampledGraph(np.array([[0.7, -0.1], [-0.1, 0.5]]))
