@@ -138,9 +138,9 @@ def _stage_seed(seed: int, tag: str) -> int:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
-    """The ``graph`` file, with a fixed ``--dim`` checked against its node
-    count before any sampler or solver runs."""
-    with open(args.graph) as fh:
+    """The ``graph`` file, UTF-8 with any byte-order mark skipped, and a fixed
+    ``--dim`` checked against its node count before any sampler or solver runs."""
+    with open(args.graph, encoding="utf-8-sig") as fh:
         g = load_edge_list(fh)
     if args.dim is not None and args.dim > g.n:
         raise _UsageError(f"--dim {args.dim} exceeds the node count {g.n}")
@@ -166,7 +166,7 @@ def _spectrum(
     """Eigenvalues of Q, when ``--dim auto`` or a sidecar reads them (else None): a settled
     ``top_spectrum``'s, which auto asks on the edge and walk operators without a sidecar, else
     the dense ``eigenvalues``; k, a fixed ``--dim`` (checked where the graph was read) or the
-    one auto picks; and ``top_spectrum``'s pairs and Lanczos state (else None)."""
+    one auto picks; and ``top_spectrum``'s settled pairs or unsettled Lanczos state (else None)."""
     if args.dim is not None and not args.emit_spectrum:
         return None, args.dim, None, None
     auto = not args.emit_spectrum and isinstance(q, CovarianceOperator)

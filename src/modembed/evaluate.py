@@ -232,12 +232,12 @@ def _repair_connectivity(
 def read_label_map(path: str | Path) -> dict[str, str]:
     """Read ``<node_id> <label>`` lines into a node-to-label-name map.
 
-    ``#`` starts a comment that runs to the end of the line. A line
-    without exactly two fields, a node labeled twice, or a file with no
-    labels at all is rejected.
+    The file is UTF-8, a leading byte-order mark skipped. ``#`` starts a
+    comment that runs to the end of the line. A line without exactly two
+    fields, a node labeled twice, or a file with no labels is rejected.
     """
     raw: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split("#", 1)[0].split()
             if not fields:

@@ -246,14 +246,28 @@ def csr_adjacency(g: Graph) -> CSR:
     """New compressed sparse rows of the symmetric adjacency, built
     without the dense one: the canonical CSR of both orientations of
     every pair, each row's columns in ascending order, with int32 indices
-    while n and 2m fit and int64 past that; nothing is cached on g."""
-    u, w = g.edges.T
-    rows, cols = np.concatenate([u, w]), np.concatenate([w, u])
-    order = np.lexsort((cols, rows))
-    index = np.int32 if max(g.n, rows.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(g.n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    return CSR(indptr, cols[order].astype(index), np.concatenate([g.weights] * 2)[order])
+    while n and 2m fit and int64 past that; nothing is cached on g.
+
+    Each entry is written straight into its row, with no sort of all 2m
+    entries: row r holds its ``below[r]`` neighbours u < r, then its
+    ``above[r]`` neighbours w > r, both counted by ``bincount``. A
+    boolean mask over the 2m entries marks the first run of every row.
+    Each half of the pairs, (w, u) into those runs and (u, w) into the
+    rest, is sorted by its m distinct keys row n + col and scattered
+    through the mask in that order."""
+    n, (u, w) = g.n, g.edges.T
+    index = np.int32 if max(n, 2 * u.size) <= np.iinfo(np.int32).max else np.int64
+    below, above = np.bincount(w, minlength=n), np.bincount(u, minlength=n)
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(below + above, out=indptr[1:])
+    lower = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
+    indices, data = np.empty(2 * u.size, dtype=index), np.empty(2 * u.size)
+    for row, col, entries in ((w, u, lower), (u, w, ~lower)):
+        order = np.argsort(row * n + col)  # injective while n² < 2⁶³, as Graph's key
+        indices[entries] = col[order]
+        data[entries] = g.weights[order]
+        del order  # freed before the next half's keys are formed
+    return CSR(indptr, indices, data)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

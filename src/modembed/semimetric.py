@@ -318,7 +318,8 @@ def pca_embedding(
 
 
 def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, list[str]]:
-    """Read a numeric TSV/CSV data matrix, one point per row.
+    """Read a numeric TSV/CSV data matrix, one point per row, from UTF-8
+    text (a leading byte-order mark is skipped).
 
     The delimiter is inferred (comma if present, otherwise whitespace).
     With ``id_column`` the first field of each row is kept as the point
@@ -327,7 +328,7 @@ def load_points(path: str | Path, id_column: bool = False) -> tuple[DataMatrix, 
     rows: list[list[float]] = []
     names: list[str] = []
     width = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:

@@ -348,13 +348,14 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def top_spectrum(q: "Covariance") -> tuple[EigenPairs | None, LanczosState]:
+def top_spectrum(q: "Covariance") -> tuple[EigenPairs, None] | tuple[None, LanczosState]:
     """Q's top j eigenpairs, when their values settle ``select_dimension``
-    and their leading k are the embedding, else None (below 1440 nodes, when
-    no j settles, or when a rung gives up or misses ``top_k_eigen``'s
-    contract); and the Lanczos state, grown through rungs j = 8, 16, ...
-    while ``krylov_pays(j, n)`` (else empty), which ``top_k_eigen``
-    continues for the dense spectrum's k.
+    and their leading k are the embedding, and no state: nothing continues
+    a settled one, so its basis goes before the contract's block product.
+    Else None (below 1440 nodes, when no j settles, or when a rung gives up
+    or misses ``top_k_eigen``'s contract) and the Lanczos state, grown
+    through rungs j = 8, 16, ... while ``krylov_pays(j, n)`` (else empty),
+    which ``top_k_eigen`` continues for the dense spectrum's k.
 
     Q 1 = 0, so 0 is an exact eigenvalue of Q; let tau = n eps ||Q||_inf
     (``norm_bound``), which bounds select_dimension's floor n eps
@@ -378,7 +379,8 @@ def top_spectrum(q: "Covariance") -> tuple[EigenPairs | None, LanczosState]:
         while krylov_pays(j, n):
             values, vectors = _lanczos(q, j, state)
             if values[-1] > tau and np.max(values[:-1] - values[1:]) > values[-1] + tau:
-                return _within_contract(q, values, vectors, bound), state
+                del state
+                return _within_contract(q, values, vectors, bound), None
             j *= 2
     except NumericalError:  # a rung did not converge or missed the contract
         pass

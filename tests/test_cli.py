@@ -485,6 +485,32 @@ def test_input_errors_exit_two(tmp_path):
     assert main(["spectrum", str(disconnected), "--sampler", "walk:2", "--output", out]) == 2
 
 
+@pytest.mark.parametrize(
+    ("command", "texts"),
+    [
+        (["embed", "--dim", "1"], ["a b\nb c\nc a\n"]),
+        (["embed", "--dim", "1"], ["a b\nb a\n"]),
+        (["classify", "--dim", "2"], [(DATA / name).read_text() for name in
+                                      ("karate.txt", "karate_factions.txt")]),
+        (["pca", "--dim", "1"], ["1 2\n3 5\n4 4\n"]),
+    ],
+    ids=["triangle", "one-edge", "labels", "points"],
+)
+def test_a_byte_order_mark_is_not_part_of_the_first_field(tmp_path, command, texts):
+    """A UTF-8 byte-order mark opening the last input file (a graph, a
+    label file, a point file) is skipped, not read into the first id or
+    number: the command writes the bytes it writes without the mark."""
+    outputs = []
+    for mark in ("", "\ufeff"):
+        paths = [tmp_path / f"{len(mark)}-{i}.txt" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text((mark if path == paths[-1] else "") + text, encoding="utf-8")
+        out = tmp_path / f"{len(mark)}.tsv"
+        assert main([command[0], *map(str, paths), *command[1:], "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 def test_walk_one_is_edge_sampling_on_any_graph(tmp_path):
     """walk:1's Q is the edge Q, so like edge sampling it needs no connected graph."""
     two = tmp_path / "two.txt"

@@ -14,7 +14,9 @@ from modembed import (
     is_connected,
     laplacian,
     load_edge_list,
+    planted_partition,
 )
+from modembed.graph import csr_adjacency
 
 from helpers import path3, random_connected_graph, triangle
 
@@ -382,3 +384,43 @@ def test_davis_fixture_loads_in_first_appearance_order():
     assert event.sum() == 14
     assert (event[g.edges[:, 0]] != event[g.edges[:, 1]]).all()
     assert (g.weights == 1.0).all()
+
+
+def _weighted_planted(shuffled):
+    """A 1500-node planted graph, m = 14 990 >= 8n, with weights drawn in
+    [0.5, 2) and its pairs in Graph's sorted order or a random one."""
+    g, _ = planted_partition(6, 250, 0.06, 0.004, seed=0)
+    rng = np.random.default_rng(1)
+    order = rng.permutation(g.edge_count) if shuffled else np.arange(g.edge_count)
+    return Graph(g.n, g.edges[order], rng.uniform(0.5, 2.0, g.edge_count))
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+def test_csr_is_scipys_canonical_csr_at_1500_nodes(shuffled):
+    """csr_adjacency has the bytes and dtypes of scipy's CSR of both
+    orientations of every pair, whatever order the pairs come in."""
+    csr_matrix = pytest.importorskip("scipy.sparse").csr_matrix
+    g = _weighted_planted(shuffled)
+    u, w = g.edges.T
+    want = csr_matrix((np.tile(g.weights, 2), (np.concatenate([u, w]), np.concatenate([w, u]))),
+                      shape=(g.n, g.n))
+    got = csr_adjacency(g)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_csr_build_peaks_below_eight_words_per_pair():
+    """Rows are filled in place, with no sort of all 2m entries: on
+    shuffled pairs the build's heap peak, 3 words per pair of output
+    included, stays within 8 words (8 bytes each) per pair; a 2m-entry
+    lexsort reads 11."""
+    g = _weighted_planted(shuffled=True)
+    tracemalloc.start()
+    try:
+        csr = csr_adjacency(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert csr.indptr[-1] == 2 * g.edge_count >= 16 * g.n
+    assert peak <= 8 * 8 * g.edge_count

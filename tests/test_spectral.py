@@ -722,9 +722,12 @@ def test_top_spectrum_grows_one_solve_from_j_8_to_16(monkeypatch):
     nothing, the top 16 settle the dense k = 15. The 16 pairs are the
     planted ones, within 1e-12 and principal cosines 1 - 1e-8, and rung 16,
     which goes on from rung 8's Lanczos state, takes fewer products than
-    a fresh solve for 16 pairs."""
+    a fresh solve for 16 pairs. The rungs' products and the contract's one
+    block product are all the operator sees, and the settled rung returns
+    no state."""
     top = np.append(np.linspace(1.0, 0.93, 15), 0.3)
     q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(0.25, -0.02, 2600 - 17)]))
+    op = _Counted(q)
     rungs, solve = [], spectral._lanczos
 
     def record(m, k, state):
@@ -734,14 +737,15 @@ def test_top_spectrum_grows_one_solve_from_j_8_to_16(monkeypatch):
         return pairs
 
     monkeypatch.setattr(spectral, "_lanczos", record)
-    pairs, state = spectral.top_spectrum(q)
+    pairs, state = spectral.top_spectrum(op)
+    assert state is None
     np.testing.assert_allclose(pairs.values, top, rtol=0, atol=1e-12)
     cosines = np.linalg.svd(pairs.vectors.T @ q.vectors(slice(1, 17)), compute_uv=False)
     assert cosines.min() >= 1 - 1e-8
     assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 15
     fresh = spectral.LanczosState(q.n)
     solve(q, 16, fresh)
-    assert [k for k, _ in rungs] == [8, 16] and sum(p for _, p in rungs) == state.products
+    assert [k for k, _ in rungs] == [8, 16] and sum(p for _, p in rungs) + 1 == op.products
     assert rungs[1][1] < fresh.products
 
 
