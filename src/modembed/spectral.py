@@ -348,14 +348,15 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def top_spectrum(q: "Covariance") -> tuple[EigenPairs, None] | tuple[None, LanczosState]:
+def top_spectrum(q: "Covariance") -> tuple[EigenPairs | None, LanczosState | None]:
     """Q's top j eigenpairs, when their values settle ``select_dimension``
     and their leading k are the embedding, and no state: nothing continues
     a settled one, so its basis goes before the contract's block product.
     Else None (below 1440 nodes, when no j settles, or when a rung gives up
     or misses ``top_k_eigen``'s contract) and the Lanczos state, grown
-    through rungs j = 8, 16, ... while ``krylov_pays(j, n)`` (else empty),
-    which ``top_k_eigen`` continues for the dense spectrum's k.
+    through rungs j = 8, 16, ... while ``krylov_pays(j, n)`` (else empty,
+    and None once a settled rung missed the contract), which ``top_k_eigen``
+    continues for the dense spectrum's k.
 
     Q 1 = 0, so 0 is an exact eigenvalue of Q; let tau = n eps ||Q||_inf
     (``norm_bound``), which bounds select_dimension's floor n eps
@@ -379,7 +380,7 @@ def top_spectrum(q: "Covariance") -> tuple[EigenPairs, None] | tuple[None, Lancz
         while krylov_pays(j, n):
             values, vectors = _lanczos(q, j, state)
             if values[-1] > tau and np.max(values[:-1] - values[1:]) > values[-1] + tau:
-                del state
+                state = None  # the basis goes; a miss below returns no state
                 return _within_contract(q, values, vectors, bound), None
             j *= 2
     except NumericalError:  # a rung did not converge or missed the contract

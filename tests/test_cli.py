@@ -1187,6 +1187,28 @@ def test_fresh_process_krylov_reruns_are_byte_identical(tmp_path):
     assert outputs[0].count(b"\n") == g.n + 1
 
 
+def test_auto_embed_falls_back_when_the_settled_rung_misses_the_contract(tmp_path, monkeypatch):
+    """embed --dim auto on 1440 nodes settles at j = 8; when those pairs
+    miss the residual contract, the embedding is byte for byte the one
+    the dense spectrum's k and a top_k_eigen solve give."""
+    _, graph_path, _ = _write_large_planted(tmp_path, 8, 180)
+    argv = ["embed", graph_path, "--sampler", "walk:3", "--dim", "auto"]
+    check, misses = spectral._within_contract, []
+
+    def miss_once(*args):
+        if misses:
+            return check(*args)
+        misses.append(args[1].shape)
+        raise spectral.NumericalError("residual missed")
+
+    missed, dense = tmp_path / "missed.tsv", tmp_path / "dense.tsv"
+    monkeypatch.setattr(spectral, "_within_contract", miss_once)
+    assert main(argv + ["--output", str(missed)]) == 0 and misses == [(8,)]
+    monkeypatch.setattr(cli, "top_spectrum", lambda q: (None, None))
+    assert main(argv + ["--output", str(dense)]) == 0
+    assert missed.read_bytes() == dense.read_bytes()
+
+
 @pytest.mark.parametrize(
     "sampler", [["walk:3"], ["walk:2:exact"], ["edge"]],
     ids=["walk:3", "exact-walk:2", "edge"],

@@ -643,6 +643,36 @@ def test_top_spectrum_solves_once_per_j(planted_1440, monkeypatch):
     assert calls == [8] and "q" not in vars(q)
 
 
+def _miss_the_contract_once(monkeypatch):
+    """Make spectral._within_contract raise NumericalError on its first
+    call only, and return the list of misses."""
+    check, misses = spectral._within_contract, []
+
+    def miss_once(*args):
+        if misses:
+            return check(*args)
+        misses.append(args[1].shape)
+        raise NumericalError("residual missed")
+
+    monkeypatch.setattr(spectral, "_within_contract", miss_once)
+    return misses
+
+
+def test_a_settled_rung_that_misses_the_contract_returns_no_state(planted_1440, monkeypatch):
+    """walk:3 settles at j = 8; when those pairs miss the residual
+    contract, top_spectrum returns no pairs and no state, and top_k_eigen
+    from that state gives the dense spectrum's k pairs within the
+    contract."""
+    q = CovarianceOperator(planted_1440, 3)
+    misses = _miss_the_contract_once(monkeypatch)
+    assert spectral.top_spectrum(q) == (None, None) and misses == [(8,)]
+    values = eigenvalues(q)
+    k = select_dimension(values)
+    pairs = top_k_eigen(q, k, None)
+    assert pairs.vectors.shape == (q.n, k)
+    assert np.abs(pairs.values - values[:k]).max() <= 1e-10 * q.norm_bound
+
+
 class _PlantedSpectrum:
     """Q = H diag(values) H for the Householder reflection H swapping e_1
     and 1/sqrt(n), so values[0] must be 0 and Q 1 = 0; its norm bound is
