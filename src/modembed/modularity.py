@@ -170,6 +170,13 @@ class _SparseProduct:
     positions, and the rest through ``np.add.at``, which adds in
     sequence. So every row sums its entries from zero in CSR order, as
     scipy's csr_matvec(s) does. Built in O(n + nnz) time and memory.
+
+    It consumes its CSR: pass a fresh :func:`~modembed.graph.csr_adjacency`,
+    as :func:`_scipy_csr` requires. Once the weights are copied into the
+    layout, the CSR's ``data`` buffer is every product's gather scratch,
+    so a product allocates only its output and O(n). When every weight is
+    1.0 no weights are stored (``data`` is None) and none multiplied:
+    x * 1.0 is x, bit for bit.
     """
 
     def __init__(self, a: CSR) -> None:
@@ -181,21 +188,26 @@ class _SparseProduct:
         self.head = list(zip(live[:_HEAD].tolist(), ends[:_HEAD].tolist()))
         self.cut = self.head[-1][1] if self.head else 0
         size = int(a.indptr[-1])
-        self.gather, self.data = np.empty(size, dtype=np.intp), np.empty(size)
+        self.gather = np.empty(size, dtype=np.intp)
+        self.data = None if np.all(a.data == 1.0) else np.empty(size)
         self.tail_rows = np.empty(size - self.cut, dtype=np.intp)
         rank, first = np.arange(n), a.indptr[self.order]
         for t in range(live.size):  # no (max degree x n) temporary
             k, e = int(live[t]), int(ends[t])
             entries = first[:k] + t
-            self.gather[e - k:e], self.data[e - k:e] = a.indices[entries], a.data[entries]
+            self.gather[e - k:e] = a.indices[entries]
+            if self.data is not None:
+                self.data[e - k:e] = a.data[entries]
             if t >= _HEAD:
                 self.tail_rows[e - k - self.cut:e - self.cut] = rank[:k]
+        self.terms = a.data  # read above; from here on the scratch of every product
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out, terms = np.empty(x.shape), np.empty(self.gather.size)
-        for column, result in zip(x.T, out.T):  # one terms buffer for every column
+        out, terms = np.empty(x.shape), self.terms
+        for column, result in zip(x.T, out.T):
             np.take(column, self.gather, out=terms, mode="clip")  # "raise" would buffer a copy
-            terms *= self.data
+            if self.data is not None:
+                terms *= self.data
             sums = np.zeros(x.shape[0])
             for k, e in self.head:
                 sums[:k] += terms[e - k:e]

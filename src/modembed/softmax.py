@@ -165,14 +165,19 @@ def _row_product(b):
 
 def _quadratic(b, h: np.ndarray) -> float:
     """sum_u h_u . (B h)_u for the three kinds of B. A CSR B is summed over
-    its entries, 4096 at a time, rows found in indptr, so no (nnz, K) gather is held."""
+    its entries, one dot of 4096 weights with their pairs' h_u . h_w at a
+    time, rows found in indptr; the pairs are gathered 512 at a time, so
+    no (nnz, K) gather is held, nor a (4096, K) one."""
     if b is None or isinstance(b, np.ndarray):
         return 0.0 if b is None else float(np.sum(h * (b @ h)))
-    total = 0.0
+    total, pair = 0.0, np.empty(4096)
     for s in range(0, b.data.size, 4096):
         e = np.arange(s, min(s + 4096, b.data.size))
         rows = np.searchsorted(b.indptr, e, "right") - 1
-        total += b.data[e] @ np.einsum("ij,ij->i", h[rows], h[b.indices[e]])
+        for i in range(0, e.size, 512):
+            c = slice(i, min(i + 512, e.size))
+            np.einsum("ij,ij->i", h[rows[c]], h[b.indices[e[c]]], out=pair[c])
+        total += b.data[e] @ pair[:e.size]
     return total
 
 

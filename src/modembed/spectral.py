@@ -227,7 +227,9 @@ def _lanczos(m: "np.ndarray | Covariance", k: int, state: LanczosState) -> tuple
     for _ in range(_MAX_RESTARTS):
         p = len(state.theta)  # a restart keeps the top Ritz vectors, a growth all of them
         keep, basis = (k + (ncv - k) // 2, state.basis) if p == ncv else (p, np.empty((ncv + 1, n)))
-        basis[:keep], basis[keep] = state.s[:, :keep].T @ state.basis[:p], state.basis[p]
+        for c in _row_blocks(n, keep):  # column panels: no keep x n temporary
+            basis[:keep, c] = state.s[:, :keep].T @ state.basis[:p, c]
+        basis[keep] = state.basis[p]
         t = np.zeros((ncv, ncv))
         np.fill_diagonal(t[:keep, :keep], state.theta[:keep])
         t[keep, :keep] = t[:keep, keep] = state.residuals[:keep]
@@ -267,13 +269,16 @@ def krylov_pays(k: int, n: int) -> bool:
 def _within_contract(m: "np.ndarray | Covariance", values: np.ndarray, vectors: np.ndarray,
                      bound: float) -> EigenPairs:
     """The pairs, signs fixed, if every residual ||m v - lambda v|| is at
-    most ``bound``; otherwise NumericalError."""
+    most ``bound``; otherwise NumericalError. Each residual takes its own
+    product with one column, so no n x k array is formed beside the pairs."""
     vectors = _fix_signs(vectors)
-    residuals = np.linalg.norm(m @ vectors - vectors * values, axis=0)
-    if not residuals.max() <= bound:
-        raise NumericalError(
-            f"eigenpair residual {residuals.max():.3e} exceeds contract bound {bound:.3e}"
-        )
+    for value, v in zip(values.tolist(), vectors.T):
+        r = m @ v
+        r -= value * v
+        if not (residual := np.linalg.norm(r)) <= bound:  # NaN misses too
+            raise NumericalError(
+                f"eigenpair residual {residual:.3e} exceeds contract bound {bound:.3e}"
+            )
     return EigenPairs(values=values, vectors=vectors)
 
 
@@ -299,7 +304,7 @@ def top_k_eigen(m: "np.ndarray | Covariance", k: int, state: LanczosState | None
     norm = m.norm_bound if checked else _norm_inf(m)
     bound = _RESIDUAL_BOUND * max(1.0, norm)
     if checked and krylov_pays(k, n):
-        try:  # a fresh state goes, with its basis, before the contract's block product
+        try:  # a fresh state goes, with its basis, before the contract's products
             pairs = state and state.ritz(k) or _lanczos(m, k, state or LanczosState(n))
             return _within_contract(m, *pairs, bound)
         except NumericalError:  # the iteration gave up or missed the contract
@@ -351,7 +356,7 @@ def select_dimension(values: Sequence[float] | np.ndarray) -> int:
 def top_spectrum(q: "Covariance") -> tuple[EigenPairs | None, LanczosState | None]:
     """Q's top j eigenpairs, when their values settle ``select_dimension``
     and their leading k are the embedding, and no state: nothing continues
-    a settled one, so its basis goes before the contract's block product.
+    a settled one, so its basis goes before the contract's products.
     Else None (below 1440 nodes, when no j settles, or when a rung gives up
     or misses ``top_k_eigen``'s contract) and the Lanczos state, grown
     through rungs j = 8, 16, ... while ``krylov_pays(j, n)`` (else empty,

@@ -279,7 +279,31 @@ def test_numpy_product_memory_grows_with_the_entries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * product.data.size * 8 + out.nbytes
+    assert peak <= 1.1 * product.gather.size * 8 + out.nbytes
+
+
+def test_unit_weights_are_not_stored_and_later_products_allocate_o_n():
+    """On the 3200-node planted graph, whose weights are all 1.0, the
+    product stores no weights, and with one weight set to 2.0 it stores
+    them all; both keep scipy's bytes for one column and for four. Once a
+    product has run, the next allocates its output and under two
+    n-vectors: the gather scratch is the CSR's own data buffer."""
+    g, _ = planted_partition(16, 200, 0.1, 0.002, seed=0)
+    heavy = g.weights.copy()
+    heavy[0] = 2.0
+    for graph, unit in ((g, True), (Graph(g.n, g.edges, heavy), False)):
+        product, a = _SparseProduct(csr_adjacency(graph)), _scipy_csr(csr_adjacency(graph))
+        assert (product.data is None) == unit
+        for k in (1, 4):
+            x = np.random.default_rng(k).standard_normal((g.n, k))
+            assert product(x).tobytes() == (a @ x).tobytes()
+        tracemalloc.start()
+        try:
+            out = product(x[:, :1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * g.n * 8
 
 
 def test_edge_operator_holds_its_product_layout_alone():
@@ -296,8 +320,8 @@ def test_edge_operator_holds_its_product_layout_alone():
         held = tracemalloc.get_traced_memory()[0] - out.nbytes
     finally:
         tracemalloc.stop()
-    assert op._adjacency.data.size == 2 * g.edge_count
-    assert held <= 20 * op._adjacency.data.size + 8 * g.n * 8
+    assert op._adjacency.gather.size == 2 * g.edge_count
+    assert held <= 20 * op._adjacency.gather.size + 8 * g.n * 8
 
 
 def test_walk_operator_products_are_scipys():

@@ -459,6 +459,32 @@ def test_edge_objective_gathers_in_blocks():
     assert peak < 2e6 < 2 * g.edge_count * 16 * 8 / 5
 
 
+def _one_gather_objective(form, h):
+    """The edge form's objective with each 4096-entry chunk's pairs gathered
+    at once, summed in the same order as the sub-block gathers."""
+    b, total = form.b, 0.0
+    for s in range(0, b.data.size, 4096):
+        e = np.arange(s, min(s + 4096, b.data.size))
+        rows = np.searchsorted(b.indptr, e, "right") - 1
+        total += b.data[e] @ np.einsum("ij,ij->i", h[rows], h[b.indices[e]])
+    total += np.sum((form.left.T @ h) * (form.right.T @ h))
+    return float(form.scale * (total - np.sum(form.diag * np.einsum("ij,ij->i", h, h))))
+
+
+@pytest.mark.parametrize("name, k", [("planted", 16), ("karate", 3)])
+def test_edge_objective_sub_blocks_keep_the_bits_of_one_gather(name, k):
+    """Gathering each chunk's pairs in sub-blocks changes no bit of the
+    edge-form objective: on the 3200-node planted graph with K = 16, and
+    on the karate club, normalized, with K = 3."""
+    if name == "planted":
+        g, normalize = planted_partition(16, 200, 0.1, 0.002, seed=0)[0], False
+    else:
+        g, normalize = load_edge_list((DATA / "karate.txt").read_text()), True
+    form = _form(CovarianceOperator(g), normalize)
+    h = np.random.default_rng(1).dirichlet(np.ones(k), size=g.n)
+    assert softmax_objective(form, h) == _one_gather_objective(form, h)
+
+
 def test_edge_form_holds_its_csr_alone():
     """The edge form keeps one CSR of the adjacency, its data scaled in
     place: on a fresh 3200-node planted graph it holds about 12 bytes per

@@ -1,5 +1,6 @@
 """Eigendecomposition routes, gap rule, embeddings, and both objectives."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -746,15 +747,32 @@ def test_top_spectrum_ignores_the_negative_spectrum():
     assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 3
 
 
+def test_the_contract_checks_one_column_at_a_time():
+    """On a 2000-node walk:3 operator with k = 8, the residual contract
+    allocates its sign-fixed copy of the pairs and under eight n-vectors
+    beside it: no n x k product, no vectors * values and no difference
+    block, each of which would take eight."""
+    g, _ = planted_partition(8, 250, 0.05, 0.002, seed=0, ensure_connected=True)
+    op = CovarianceOperator(g, 3)
+    values, vectors = spectral._lanczos(op, 8, spectral.LanczosState(g.n))
+    tracemalloc.start()
+    try:
+        pairs = spectral._within_contract(op, values, vectors, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pairs.vectors.nbytes + 8 * g.n * 8
+
+
 def test_top_spectrum_grows_one_solve_from_j_8_to_16(monkeypatch):
     """On n = 2600, where j = 16 pays, 15 values from 1 down to 0.93 over
     lambda_16 = 0.3 and a bulk in [-0.02, 0.25]: the top 8 values settle
     nothing, the top 16 settle the dense k = 15. The 16 pairs are the
     planted ones, within 1e-12 and principal cosines 1 - 1e-8, and rung 16,
     which goes on from rung 8's Lanczos state, takes fewer products than
-    a fresh solve for 16 pairs. The rungs' products and the contract's one
-    block product are all the operator sees, and the settled rung returns
-    no state."""
+    a fresh solve for 16 pairs. The rungs' products and the contract's 16
+    single-column products are all the operator sees, and the settled rung
+    returns no state."""
     top = np.append(np.linspace(1.0, 0.93, 15), 0.3)
     q = _PlantedSpectrum(np.concatenate([[0.0], top, np.linspace(0.25, -0.02, 2600 - 17)]))
     op = _Counted(q)
@@ -775,7 +793,7 @@ def test_top_spectrum_grows_one_solve_from_j_8_to_16(monkeypatch):
     assert select_dimension(pairs.values) == select_dimension(np.sort(q.values)[::-1]) == 15
     fresh = spectral.LanczosState(q.n)
     solve(q, 16, fresh)
-    assert [k for k, _ in rungs] == [8, 16] and sum(p for _, p in rungs) + 1 == op.products
+    assert [k for k, _ in rungs] == [8, 16] and sum(p for _, p in rungs) + 16 == op.products
     assert rungs[1][1] < fresh.products
 
 
